@@ -1,17 +1,17 @@
-"""Partition-strategy sweep — field-run vs stable radix sort (§3.3).
+"""Partition-strategy sweep — field partition vs stable radix sort (§3.3).
 
 PR 4's strided kernels left the partition stage as the pipeline's top
 serial-executor cost (BENCH_kernels.json: yelp 0.134 s, taxi 0.170 s at
-1 MB).  This sweep measures the field-run replacement on the fig13
-workloads at the paper's default chunk size, two ways:
+1 MB).  This sweep measures the field partition that replaced it on the
+fig13 workloads at the paper's default chunk size, two ways:
 
 * **stage sweep** — the full partition stage through the parser timer
   for each ``--partition-strategy`` (radix / field-run / auto), plus
   end-to-end MB/s;
 * **kernel sweep** — ``partition_by_column`` at radix_bits ∈ {1,2,4,8}
-  against ``partition_field_runs`` (with and without the tagger's
-  delimiter positions) on the identical validate-stage inputs, so the
-  strategies are compared on the exact same arrays.
+  over the per-symbol tags expanded from one validate-stage run, against
+  ``partition_fields`` over that run's per-field tags, so the strategies
+  partition the exact same input.
 
 Two artefacts:
 
@@ -38,8 +38,9 @@ import sys
 import time
 
 from repro import Dialect, ParPaRawParser, ParseOptions, SerialExecutor
-from repro.core.partition import partition_by_column, partition_field_runs
+from repro.core.partition import partition_by_column, partition_fields
 from repro.core.stages import PipelineContext, RawInput
+from repro.core.tagging import expand_symbol_tags
 from repro.dfa import dialect_dfa
 from repro.utils.timing import StepTimer
 from repro.workloads import generate_taxi_like, generate_yelp_like
@@ -80,7 +81,9 @@ def time_strategy(data: bytes, strategy: str, repeats: int) -> dict:
 
 
 def validate_stage_inputs(data: bytes) -> dict:
-    """The partition stage's inputs: one validate-stage run per workload."""
+    """Both strategies' inputs from one validate-stage run: per-field tags
+    and keep flags, and their per-symbol expansion (record-tagged mode,
+    so no virtual delimiter is needed)."""
     import numpy as np
 
     options = ParseOptions(dialect=NO_CR)
@@ -91,13 +94,17 @@ def validate_stage_inputs(data: bytes) -> dict:
         payload = executor.execute(
             ctx, RawInput(raw=raw, input_bytes=raw.size),
             until="validate")
+    tags = payload.tags
+    symbols = expand_symbol_tags(tags)
+    spans = np.diff(np.concatenate([[0], tags.delim_positions + 1,
+                                    [raw.size]]))
+    keep = tags.data_mask & np.repeat(payload.field_keep, spans)
     return {
-        "data": payload.data_ext,
-        "keep": payload.keep,
-        "column_ids": payload.col_ids,
-        "record_ids": payload.rec_ids,
-        "num_columns": payload.num_columns,
-        "delim_positions": payload.delim_positions,
+        "symbols": (raw, keep, symbols.column_ids, symbols.record_ids,
+                    payload.num_columns),
+        "fields": (raw, tags.data_mask, tags.delim_positions,
+                   tags.field_columns, tags.field_records,
+                   payload.field_keep, payload.num_columns),
     }
 
 
@@ -113,22 +120,17 @@ def time_kernel(func, repeats: int) -> float:
 
 def kernel_sweep(data: bytes, repeats: int) -> list[dict]:
     inp = validate_stage_inputs(data)
-    args = (inp["data"], inp["keep"], inp["column_ids"],
-            inp["record_ids"], inp["num_columns"])
     rows = []
     for bits in RADIX_BITS:
         seconds = time_kernel(
-            lambda: partition_by_column(*args, radix_bits=bits), repeats)
+            lambda: partition_by_column(*inp["symbols"], radix_bits=bits),
+            repeats)
         rows.append({"kernel": "radix", "radix_bits": bits,
                      "seconds": round(seconds, 6)})
-    seconds = time_kernel(lambda: partition_field_runs(*args), repeats)
-    rows.append({"kernel": "field-run (boundary detect)",
-                 "radix_bits": None, "seconds": round(seconds, 6)})
-    seconds = time_kernel(
-        lambda: partition_field_runs(
-            *args, delim_positions=inp["delim_positions"]), repeats)
-    rows.append({"kernel": "field-run (delim positions)",
-                 "radix_bits": None, "seconds": round(seconds, 6)})
+    seconds = time_kernel(lambda: partition_fields(*inp["fields"]),
+                          repeats)
+    rows.append({"kernel": "field partition", "radix_bits": None,
+                 "seconds": round(seconds, 6)})
     return rows
 
 

@@ -24,8 +24,8 @@ from repro.core.context import compute_transition_vectors, \
     chunk_start_states
 from repro.core.offsets import compute_chunk_offsets
 from repro.core.partition import partition_by_column
-from repro.core.css import tagged_index
-from repro.core.tagging import compute_emissions, tag_global
+from repro.core.tagging import compute_emissions, expand_symbol_tags, \
+    tag_global
 
 DATA = b'1941,199.99,"Bookcase"\n1938,19.99,"Frame\n""Ribba"", black"\n'
 CHUNK = 10  # the figures use six ~10-byte chunks
@@ -68,20 +68,23 @@ def main() -> None:
               f"column-offset={kind} {int(offsets.column_values[c])}  "
               f"-> entering record={int(offsets.record_offsets[c])}, "
               f"column={int(offsets.entering_column_offsets[c])}")
-    print("\ncolumn-tags:", tags.column_ids.tolist())
-    print("record-tags:", tags.record_ids.tolist())
+    # The pipeline keeps one tag per field; the paper's per-symbol tag
+    # streams are its expansion.
+    symbols = expand_symbol_tags(tags)
+    print("\ncolumn-tags:", symbols.column_ids.tolist())
+    print("record-tags:", symbols.record_ids.tolist())
 
     show("Figure 5: partitioning into per-column CSSs + indexes")
-    part = partition_by_column(raw, tags.data_mask, tags.column_ids,
-                               tags.record_ids, num_columns=3)
+    part = partition_by_column(raw, tags.data_mask, symbols.column_ids,
+                               symbols.record_ids, num_columns=3)
     print("column offsets:", part.column_offsets.tolist())
     for column in range(3):
         css = part.column_css(column)
-        index = tagged_index(part.column_record_tags(column))
+        records, offsets, lengths = part.column_fields(column)
         print(f"column {column}: CSS={css.tobytes()!r}")
-        print(f"          records={index.records.tolist()} "
-              f"offsets={index.offsets.tolist()} "
-              f"lengths={index.lengths.tolist()}")
+        print(f"          records={records.tolist()} "
+              f"offsets={offsets.tolist()} "
+              f"lengths={lengths.tolist()}")
 
     show("typed result")
     from repro import DataType, Field, ParseOptions, ParPaRawParser, Schema

@@ -44,9 +44,9 @@ python -m pytest tests/analysis/test_dfa_proofs.py -q
 # ladder) must be bit-identical to unit stride (STVs, emissions, final
 # state, invalid position; both executors; minimised and raw automata).
 python -m pytest tests/kernels/test_parity.py -q
-# Partition tier: the field-run strategy must be bit-identical to the
-# stable radix sort (css, record tags, offsets, order) across dialects,
-# tagging modes and executors.
+# Partition tier: the field partition must be bit-identical to the
+# stable radix-sort oracle (css, column offsets, per-column field index,
+# final table) across dialects, tagging modes and executors.
 python -m pytest tests/core/test_partition.py \
     tests/core/test_partition_parity.py -q
 # Columnar tier: the fused zero-copy convert must be bit-identical to
@@ -138,8 +138,9 @@ assert doc["metrics"]["gauges"]["kernels.table_budget"] == 1.0, \
 print("kernels smoke: shrunken table budget degrades to unit stride")
 EOF
 
-# Partition-strategy smoke: an explicit field-run sharded parse must
-# still produce a valid trace and report the strategy it ran with.
+# Partition-strategy smoke: an explicit field-run (field partition)
+# sharded parse must still produce a valid trace and report the strategy
+# it ran with and the number of fields it partitioned.
 python -m repro parse "$OBS_TMP/smoke.csv" --partition-strategy field-run \
     --workers 2 --trace "$OBS_TMP/trace_fieldrun.json" --metrics > /dev/null
 python - "$OBS_TMP/trace_fieldrun.json" <<'EOF'
@@ -191,7 +192,8 @@ print("bench smoke:", len(doc["rows"]), "sweep rows")
 EOF
 
 # Partition bench smoke: the strategy sweep must run end to end and
-# emit both the stage rows and the kernel radix_bits sweep rows.
+# emit both the stage rows and the kernel rows (the radix_bits sweep and
+# the field partition, radix_bits None).
 python benchmarks/bench_partition.py --bytes 65536 --repeats 1 \
     --out "$OBS_TMP/bench_partition.json" > /dev/null
 python - "$OBS_TMP/bench_partition.json" <<'EOF'

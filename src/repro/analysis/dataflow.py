@@ -84,8 +84,7 @@ __all__ = [
 #: ``slice_buffers`` alike).
 BORROW_CALLS: frozenset[str] = frozenset({
     "slice_buffers", "take_buffers", "column_view", "column_css",
-    "column_record_tags", "column_fields", "frombuffer", "memoryview",
-    "as_readonly",
+    "column_fields", "frombuffer", "memoryview", "as_readonly",
 })
 
 #: Calls that *propagate* a borrow from their receiver / first argument

@@ -1,12 +1,24 @@
-"""Phase 3a — partitioning symbols by column (paper §3.3).
+"""Phase 3a — partitioning fields by column (paper §3.3).
 
 To convert fields without thread divergence and without load-balancing
-hazards, ParPaRaw first brings all symbols of each column together.  Two
-interchangeable strategies produce the same stable column partition:
+hazards, ParPaRaw first brings all symbols of each column together: one
+concatenated symbol string (CSS) per column, plus an index of the
+column's fields within it.  Two strategies produce the same partition:
+
+**Field partition** (:func:`partition_fields`) — the production path.
+The tagging stage hands over one record and column tag per *field*
+(:class:`~repro.core.tagging.TagResult`), so the partition never touches
+per-symbol tags: a stable counting sort of the kept fields by column
+(``num_fields ≪ n`` items), then one byte gather per column that copies
+each field's data bytes — and, in the inline/delimited modes, its
+terminator — into the column's CSS.  The sorted fields *are* the
+per-column field index.  ``O(n)`` bytes plus ``O(num_fields)`` words.
 
 **Stable LSD radix sort** (:func:`stable_radix_sort` /
-:func:`partition_by_column`) — the paper's GPU formulation.  A single
-partitioning pass is the GPU-classic three-step dance:
+:func:`partition_by_column`) — the paper's GPU formulation over
+per-symbol tags, kept as the ``partition_strategy="radix"`` path and as
+the test oracle.  A single partitioning pass is the GPU-classic
+three-step dance:
 
 1. histogram of items per digit value,
 2. exclusive prefix sum over the histogram (partition start offsets),
@@ -15,19 +27,14 @@ partitioning pass is the GPU-classic three-step dance:
 No ``np.argsort`` anywhere; the rank-within-digit is materialised per
 digit value with a vectorised ``np.flatnonzero`` (the positions of a
 digit value, in input order, *are* its stable ranks), which stands in for
-the prefix-sum-based ranking a GPU implementation performs.
+the prefix-sum-based ranking a GPU implementation performs.  Its field
+index is re-derived from the sorted per-symbol record tags (or field
+terminators).
 
-**Field-run segment gather** (:func:`partition_field_runs`) — the
-vectorised-executor formulation.  Column tags arrive in contiguous
-per-field runs (they only change at delimiters), so instead of paying
-per-symbol sort work the runs are encoded once, the *runs* are
-stable-counting-sorted by column id (``num_fields ≪ n``), and the CSS,
-record tags and ``order`` permutation are materialised with a single
-``np.repeat``-based segment gather: ``O(n + num_fields)`` total work.
-The result is bit-identical to the radix sort — same
-:class:`PartitionResult`, including the stable ``order`` permutation —
-which the parity suite in ``tests/core/test_partition.py`` and the
-pipeline-level sweep in ``tests/core/test_partition_parity.py`` enforce.
+Both strategies produce bit-identical CSS, column offsets and field
+indexes, which the parity suite in ``tests/core/test_partition.py`` and
+the pipeline-level sweep in ``tests/core/test_partition_parity.py``
+enforce.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from repro.errors import ParseError
 from repro.scan.numpy_scan import exclusive_sum
 
 __all__ = ["stable_radix_sort", "PartitionResult", "partition_by_column",
-           "partition_field_runs"]
+           "partition_fields"]
 
 
 def stable_radix_sort(keys: np.ndarray, radix_bits: int = 2,
@@ -116,78 +123,64 @@ def _stable_counting_sort(keys: np.ndarray, num_values: int
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Stable permutation sorting small-int ``keys`` ascending.
 
-    One counting-sort pass: histogram → exclusive prefix sum → per-value
-    stable placement, iterating only over the key values actually
-    present.  ``O(P · R)`` with vectorised bodies, for ``R`` keys over
-    ``P`` distinct values — the field-run partition calls this on the
-    *runs* (``R = num_fields``, ``P ≤ num_columns``), never on symbols.
+    A counting sort: NumPy's stable sort of 16-bit keys is an LSD radix
+    sort, ``O(R)`` for ``R`` keys, so narrowing the keys to ``uint16``
+    buys the linear pass (wider key spaces fall back to the merge sort).
+    The field partition calls this on the *fields* (``R = num_fields``,
+    keys ``< num_columns``), never on symbols.
 
-    Returns ``(perm, key_starts)``: the stable permutation and, as a
-    by-product of the pass, the ``(num_values,)`` exclusive prefix sum of
-    the key histogram (first sorted position of each key value).
+    Returns ``(perm, key_starts)``: the stable permutation and the
+    ``(num_values,)`` exclusive prefix sum of the key histogram (first
+    sorted position of each key value).
     """
     counts = np.bincount(keys, minlength=num_values)
-    offsets = exclusive_sum(counts)
-    perm = np.empty(keys.size, dtype=np.int64)
-    for value in np.flatnonzero(counts):  # parlint: disable=PPR401 -- one iteration per distinct column id, vectorised bodies over the runs
-        lo = int(offsets[value])
-        perm[lo:lo + int(counts[value])] = np.flatnonzero(keys == value)
-    return perm, offsets
+    narrow = keys.astype(np.uint16) if num_values <= 1 << 16 else keys
+    return np.argsort(narrow, kind="stable"), exclusive_sum(counts)
 
 
 @dataclass
 class PartitionResult:
-    """The columnar symbol layout after partitioning.
+    """The columnar layout after partitioning.
 
     Attributes
     ----------
     css:
         All retained symbols, column-partitioned: column ``c``'s CSS is
         ``css[column_offsets[c]:column_offsets[c + 1]]``.
-    record_tags:
-        Record tag of each CSS symbol (same layout).
     column_offsets:
-        ``(num_columns + 1,)`` int64 CSS boundaries (from the histogram).
+        ``(num_columns + 1,)`` int64 CSS boundaries.
     num_columns:
         Number of columns partitioned.
-    order:
-        Original input position of each CSS symbol (the applied stable
-        permutation) — lets callers gather any per-position payload into
-        CSS layout (the inline/delimited modes gather the delimiter mask).
-    num_field_runs:
-        Diagnostic metadata: how many contiguous field runs the field-run
-        strategy gathered (``None`` on the radix path, which never counts
-        them).  Excluded from the strategies' bit-identity contract,
-        which covers ``css``/``record_tags``/``column_offsets``/``order``.
     field_records / field_starts / field_lengths / field_bounds:
-        Per-field geometry read directly off the segment gather, present
-        only when the field-run strategy partitioned from the tagging
-        stage's ``delim_positions`` (where one run is exactly one
-        non-empty field).  Sorted-run ``j`` is a field starting at CSS
-        position ``field_starts[j]`` with ``field_lengths[j]`` symbols of
-        record ``field_records[j]``; column ``c``'s fields are the slice
-        ``[field_bounds[c], field_bounds[c + 1])``.  This is the fused
-        partition→convert handoff: the convert stage reads each column's
-        index from here instead of re-deriving it with a per-symbol RLE,
-        and a column's CSS *is* already an Arrow string column
-        (:meth:`column_view`).
+        The per-column field index.  Field ``j`` starts at CSS position
+        ``field_starts[j]`` with ``field_lengths[j]`` data symbols and
+        belongs to record ``field_records[j]``; column ``c``'s fields are
+        the slice ``[field_bounds[c], field_bounds[c + 1])``, in record
+        order.  The convert stage reads each column's index from here.
+    terminated:
+        Whether every field is followed by its terminator byte in the CSS
+        (the inline/delimited tagging modes), at
+        ``field_starts + field_lengths``.  Record-tagged fields tile the
+        column CSS exactly instead, and hold only non-empty fields.
+    order:
+        Original input position of each CSS symbol — the radix oracle's
+        applied stable permutation; ``None`` on the field partition,
+        which never builds per-symbol arrays.
     """
 
     css: np.ndarray
-    record_tags: np.ndarray
     column_offsets: np.ndarray
     num_columns: int
+    field_records: np.ndarray
+    field_starts: np.ndarray
+    field_lengths: np.ndarray
+    field_bounds: np.ndarray
+    terminated: bool = False
     order: np.ndarray | None = None
-    num_field_runs: int | None = None
-    field_records: np.ndarray | None = None
-    field_starts: np.ndarray | None = None
-    field_lengths: np.ndarray | None = None
-    field_bounds: np.ndarray | None = None
 
     @property
-    def has_field_geometry(self) -> bool:
-        """Whether per-field run geometry survived the partition."""
-        return self.field_bounds is not None
+    def num_fields(self) -> int:
+        return int(self.field_records.size)
 
     def column_css(self, column: int) -> np.ndarray:
         # parlint: returns-borrowed -- zero-copy slice of the shared CSS
@@ -198,25 +191,12 @@ class PartitionResult:
         # also covers column_view's values (it slices this result).
         return protect(self.css[lo:hi])
 
-    def column_record_tags(self, column: int) -> np.ndarray:
-        lo = int(self.column_offsets[column])
-        hi = int(self.column_offsets[column + 1])
-        return self.record_tags[lo:hi]
-
     def column_fields(self, column: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column ``c``'s ``(records, offsets, lengths)`` field geometry.
+        """Column ``c``'s ``(records, offsets, lengths)`` field index.
 
-        Offsets are relative to :meth:`column_css`.  Requires
-        :attr:`has_field_geometry` (the ``delim_positions`` field-run
-        path); callers without it re-derive the index from the record
-        tags.
+        Offsets are relative to :meth:`column_css`.
         """
-        if self.field_bounds is None:
-            raise ParseError("partition carries no field geometry")
-        assert self.field_records is not None
-        assert self.field_starts is not None
-        assert self.field_lengths is not None
         lo = int(self.field_bounds[column])
         hi = int(self.field_bounds[column + 1])
         base = int(self.column_offsets[column])
@@ -232,7 +212,7 @@ class PartitionResult:
         ``(num_fields + 1,)`` int64 field-boundary buffer.  In the
         record-tagged mode the fields tile the column CSS exactly, so the
         pair *is* a valid Arrow string column over the retained fields —
-        no symbol is copied.  Requires :attr:`has_field_geometry`.
+        no symbol is copied.
         """
         values = self.column_css(column)
         _, starts, lengths = self.column_fields(column)
@@ -243,18 +223,20 @@ class PartitionResult:
         return values, offsets
 
 
-def _check_partition_inputs(data: np.ndarray, keep_mask: np.ndarray,
-                            column_ids: np.ndarray,
-                            record_ids: np.ndarray) -> None:
-    if not (data.shape == keep_mask.shape == column_ids.shape
-            == record_ids.shape):
-        raise ParseError("partition inputs must share one shape")
+def _check_column_range(keys: np.ndarray, num_columns: int) -> None:
+    if keys.size:
+        if int(keys.min()) < 0:
+            raise ParseError("partition requires non-negative column tags")
+        if int(keys.max()) >= num_columns:
+            raise ParseError(
+                "a column tag exceeds the declared column count")
 
 
 def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
                         column_ids: np.ndarray, record_ids: np.ndarray,
-                        num_columns: int,
-                        radix_bits: int = 2) -> PartitionResult:
+                        num_columns: int, radix_bits: int = 2,
+                        terminators: np.ndarray | None = None
+                        ) -> PartitionResult:
     """Partition the retained symbols into per-column CSSs (radix sort).
 
     Parameters
@@ -271,12 +253,19 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
         Column count (CSS boundaries are produced for all of them).
     radix_bits:
         Digit width for the radix sort.
+    terminators:
+        ``(n,)`` bool marking field terminators (the inline/delimited
+        modes): a field ends at each kept terminator, and every column's
+        CSS must end with one.  ``None`` (record-tagged) makes each run
+        of equal record tags within a column one field.
     """
-    _check_partition_inputs(data, keep_mask, column_ids, record_ids)
+    if not (data.shape == keep_mask.shape == column_ids.shape
+            == record_ids.shape) or (terminators is not None
+                                     and terminators.shape != data.shape):
+        raise ParseError("partition inputs must share one shape")
     kept = np.flatnonzero(keep_mask)
     keys = column_ids[kept]
-    if keys.size and int(keys.max()) >= num_columns:
-        raise ParseError("a column tag exceeds the declared column count")
+    _check_column_range(keys, num_columns)
     perm = stable_radix_sort(keys, radix_bits=radix_bits,
                              max_key=num_columns)
     order = kept[perm]
@@ -286,128 +275,152 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
     column_offsets = np.empty(num_columns + 1, dtype=np.int64)
     column_offsets[0] = 0
     np.cumsum(histogram, out=column_offsets[1:])
-    return PartitionResult(css=css, record_tags=record_tags,
-                           column_offsets=column_offsets,
-                           num_columns=num_columns, order=order)
+
+    # Field index: a field starts at each column start and wherever the
+    # record tag changes (record-tagged) or a terminator precedes.
+    total = css.size
+    begins = np.zeros(total, dtype=bool)
+    begins[column_offsets[:-1][histogram > 0]] = True
+    if terminators is None:
+        begins[1:] |= record_tags[1:] != record_tags[:-1]
+    else:
+        is_term = terminators[order]
+        ends = column_offsets[1:][histogram > 0] - 1
+        if not bool(np.all(is_term[ends])):
+            raise ParseError("a terminated column CSS must end with a "
+                             "field terminator")
+        begins[1:] |= is_term[:-1]
+    field_starts = np.flatnonzero(begins)
+    field_lengths = np.empty(field_starts.size, dtype=np.int64)
+    field_lengths[:-1] = np.diff(field_starts)
+    if field_starts.size:
+        field_lengths[-1] = total - field_starts[-1]
+    if terminators is not None:
+        field_lengths -= 1
+    return PartitionResult(
+        css=css, column_offsets=column_offsets, num_columns=num_columns,
+        field_records=record_tags[field_starts],
+        field_starts=field_starts,
+        field_lengths=field_lengths,
+        field_bounds=np.searchsorted(field_starts, column_offsets),
+        terminated=terminators is not None, order=order)
 
 
-def partition_field_runs(data: np.ndarray, keep_mask: np.ndarray,
-                         column_ids: np.ndarray, record_ids: np.ndarray,
-                         num_columns: int,
-                         delim_positions: np.ndarray | None = None
-                         ) -> PartitionResult:
-    """Partition via run-length encoding + one stable segment gather.
+def partition_fields(data: np.ndarray, data_mask: np.ndarray,
+                     delim_positions: np.ndarray, field_columns: np.ndarray,
+                     field_records: np.ndarray, keep: np.ndarray,
+                     num_columns: int, *, terminated: bool = False,
+                     end_byte: int = 0) -> PartitionResult:
+    """Partition kept fields into per-column CSSs and field indexes.
 
-    Bit-identical to :func:`partition_by_column` (same CSS, record tags,
-    offsets and stable ``order`` permutation) in ``O(n + num_fields)``:
+    Bit-identical to :func:`partition_by_column` over the expanded
+    per-symbol tags, in ``O(n + num_fields)`` with no per-symbol array
+    but the CSS itself:
 
-    1. encode the retained positions' column-tag sequence as contiguous
-       runs — either from ``delim_positions`` (the tagging stage's
-       per-delimiter position arrays; ``O(num_fields · log n)`` with no
-       per-symbol key gather at all) or, when they are unavailable, by a
-       vectorised change-detection sweep over the gathered keys;
-    2. stable-counting-sort the *runs* by column id
-       (:func:`_stable_counting_sort`, ``num_fields ≪ n`` items);
-    3. materialise ``order`` with one ``np.repeat``-based segment gather
-       (run starts repeated by run lengths plus intra-run ``arange``
-       offsets), then gather ``css`` and ``record_tags`` through it.
+    1. locate every kept field's data bytes: field ``j`` spans the bytes
+       between delimiters ``j - 1`` and ``j``, minus the control and
+       comment symbols inside (quotes, escapes) — set aside by binary
+       search over their positions, when there are any;
+    2. stable-counting-sort the kept fields by column
+       (:func:`_stable_counting_sort`; record-tagged mode drops empty
+       fields first, the terminated modes keep them);
+    3. gather each column's CSS with one ``np.repeat``-based segment
+       gather over its sorted fields.
 
     Parameters
     ----------
+    data / data_mask:
+        ``(n,)`` uint8 input and its data bitmap.
     delim_positions:
-        Ascending positions at which a delimiter (record or field)
-        occurs.  The column tags must be constant on every segment
-        between consecutive delimiters — exactly what phase 2 guarantees
-        (a delimiter carries the column of the field it terminates; the
-        next position starts the following field).  ``None`` derives the
-        run boundaries from ``column_ids`` directly, which is correct
-        for *any* tag sequence.
+        ``(m,)`` ascending delimiter positions; field ``m`` ends at ``n``.
+    field_columns / field_records / keep:
+        ``(m + 1,)`` per-field column, record and retention flag.
+    terminated:
+        Append each field's terminator byte to its CSS bytes (the
+        inline/delimited modes).  Field ``m`` is terminated by a virtual
+        ``end_byte`` at position ``n``.
     """
-    _check_partition_inputs(data, keep_mask, column_ids, record_ids)
-    kept = np.flatnonzero(keep_mask)
-    total = kept.size
+    n = data.size
+    m = delim_positions.size
+    if data_mask.shape != data.shape or not (
+            field_columns.shape == field_records.shape == keep.shape
+            == (m + 1,)):
+        raise ParseError("partition inputs must share one field geometry")
+    # Field j spans [starts[j], ends[j]); its terminator sits at ends[j],
+    # which is n (virtual) for the last field.  ``lengths`` holds the
+    # ends until the subtraction below.
+    starts = np.empty(m + 1, dtype=np.int64)
+    starts[0] = 0
+    np.add(delim_positions, 1, out=starts[1:])
+    lengths = np.empty(m + 1, dtype=np.int64)
+    lengths[:m] = delim_positions
+    lengths[m] = n
 
-    if delim_positions is not None:
-        # Segment j spans [seg_starts[j], seg_starts[j+1]) in input
-        # space; its retained positions are a contiguous slice of
-        # ``kept`` located by binary search — no per-symbol key gather.
-        seg_starts = np.empty(delim_positions.size + 1, dtype=np.int64)
-        seg_starts[0] = 0
-        seg_starts[1:] = delim_positions
-        seg_starts[1:] += 1
-        bounds = np.searchsorted(kept, seg_starts)
-        lengths = np.empty(bounds.size, dtype=np.int64)
-        lengths[:-1] = np.diff(bounds)
-        lengths[-1] = total - bounds[-1]
-        nonempty = lengths > 0
-        run_starts = bounds[nonempty]
-        run_lengths = lengths[nonempty]
-    elif total:
-        boundary = np.empty(total, dtype=bool)
-        boundary[0] = True
-        keys = column_ids[kept]
-        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-        run_starts = np.flatnonzero(boundary)
-        run_lengths = np.empty(run_starts.size, dtype=np.int64)
-        run_lengths[:-1] = np.diff(run_starts)
-        if run_lengths.size:
-            run_lengths[-1] = total - run_starts[-1]
-    else:
-        run_starts = np.empty(0, dtype=np.int64)
-        run_lengths = np.empty(0, dtype=np.int64)
+    # The byte stream fields are gathered from: data and delimiter
+    # symbols in input order.  Control and comment symbols are set
+    # aside; when there are none (no quoting) it is the input itself.
+    stream = data
+    if n - m - int(np.count_nonzero(data_mask)):
+        in_stream = data_mask.copy()
+        in_stream[delim_positions] = True
+        aside = np.flatnonzero(~in_stream)
+        stream = data[in_stream]
+        del in_stream
+        starts -= np.searchsorted(aside, starts)
+        lengths -= np.searchsorted(aside, lengths)
+        del aside
+    lengths -= starts
 
-    run_keys = column_ids[kept[run_starts]]
-    if run_keys.size:
-        if int(run_keys.min()) < 0:
-            raise ParseError("partition requires non-negative column tags")
-        if int(run_keys.max()) >= num_columns:
-            raise ParseError(
-                "a column tag exceeds the declared column count")
+    # Kept fields (record-tagged: non-empty ones only), stably sorted by
+    # column; one gather per per-field array through the sorted ids.
+    fields = np.flatnonzero(keep if terminated else keep & (lengths > 0))
+    columns = field_columns[fields]
+    _check_column_range(columns, num_columns)
+    perm, column_heads = _stable_counting_sort(columns, num_columns)
+    del columns
+    fields = fields[perm]
+    del perm
+    starts = starts[fields]
+    lengths = lengths[fields]
+    records = field_records[fields]
+    del fields
+    virtual = terminated and bool(keep[m])
+    virtual_column = int(field_columns[m]) if virtual else -1
 
-    perm_runs, run_starts_of_key = _stable_counting_sort(run_keys,
-                                                         num_columns)
-    sorted_starts = run_starts[perm_runs]
-    sorted_lengths = run_lengths[perm_runs]
+    num_fields = lengths.size
+    sizes = lengths + 1 if terminated else lengths
+    out_starts = exclusive_sum(sizes)
+    total = int(out_starts[-1] + sizes[-1]) if num_fields else 0
+    field_bounds = np.empty(num_columns + 1, dtype=np.int64)
+    field_bounds[:-1] = column_heads
+    field_bounds[-1] = num_fields
+    column_offsets = np.full(num_columns + 1, total, dtype=np.int64)
+    present = column_heads < num_fields
+    column_offsets[:-1][present] = out_starts[column_heads[present]]
 
-    # Segment gather: output position p inside sorted run j reads
-    # kept[sorted_starts[j] + (p - out_starts[j])]; repeating
-    # (start - out_start) per run and adding a global arange yields every
-    # source index in one vectorised sweep.
-    out_starts = exclusive_sum(sorted_lengths)
-    gather = np.repeat(sorted_starts - out_starts, sorted_lengths)
-    gather += np.arange(total, dtype=np.int64)
-    order = kept[gather]
-    css = data[order]
-    record_tags = record_ids[order]
-
-    # CSS boundaries without a per-symbol histogram: column c's CSS
-    # starts where its first sorted run starts, i.e. the run-length
-    # prefix sum evaluated at the counting sort's per-key offsets.
-    out_bounds = np.empty(perm_runs.size + 1, dtype=np.int64)
-    out_bounds[:-1] = out_starts
-    out_bounds[-1] = total
-    column_offsets = np.empty(num_columns + 1, dtype=np.int64)
-    column_offsets[:-1] = out_bounds[run_starts_of_key]
-    column_offsets[-1] = total
-
-    # On the delim_positions path every sorted run is exactly one
-    # non-empty field, so the run geometry *is* the per-column field
-    # index — expose it and spare the convert stage its per-symbol RLE.
-    # (The boundary-detect fallback may merge adjacent same-column runs
-    # across records, e.g. single-column data, so it stays geometry-free.)
-    field_records = field_bounds = None
-    if delim_positions is not None:
-        field_records = record_tags[out_starts]
-        field_bounds = np.empty(num_columns + 1, dtype=np.int64)
-        field_bounds[:-1] = run_starts_of_key
-        field_bounds[-1] = perm_runs.size
-    return PartitionResult(css=css, record_tags=record_tags,
-                           column_offsets=column_offsets,
-                           num_columns=num_columns, order=order,
-                           num_field_runs=int(run_keys.size),
-                           field_records=field_records,
-                           field_starts=out_starts
-                           if field_bounds is not None else None,
-                           field_lengths=sorted_lengths
-                           if field_bounds is not None else None,
-                           field_bounds=field_bounds)
+    css = np.empty(total, dtype=np.uint8)
+    if not stream.size:
+        # Nothing but set-aside symbols (a lone quoted empty field): the
+        # only CSS byte is the virtual terminator patched in below.
+        stream = np.zeros(1, dtype=np.uint8)
+    for column in range(num_columns):  # parlint: disable=PPR401 -- one segment gather per column, vectorised over its fields
+        lo, hi = int(field_bounds[column]), int(field_bounds[column + 1])
+        if lo == hi:
+            continue
+        out_lo = int(column_offsets[column])
+        out_hi = int(column_offsets[column + 1])
+        # Output position p of sorted field j reads
+        # stream[starts[j] + (p - out_starts[j])].
+        source = np.repeat(starts[lo:hi] - out_starts[lo:hi],
+                           sizes[lo:hi])
+        source += np.arange(out_lo, out_hi, dtype=np.int64)
+        # The virtual terminator reads past the stream: clip, then patch.
+        np.take(stream, source, out=css[out_lo:out_hi], mode="clip")
+    if virtual:
+        last = int(field_bounds[virtual_column + 1]) - 1
+        css[int(out_starts[last] + lengths[last])] = end_byte
+    return PartitionResult(
+        css=css, column_offsets=column_offsets, num_columns=num_columns,
+        field_records=records, field_starts=out_starts,
+        field_lengths=lengths, field_bounds=field_bounds,
+        terminated=terminated)

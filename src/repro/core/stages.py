@@ -51,10 +51,10 @@ from repro.core.options import (
     TaggingMode,
 )
 from repro.core.partition import PartitionResult, partition_by_column, \
-    partition_field_runs
+    partition_fields
 from repro.core.selection import prune_rows, row_mapping, selected_column_mask
-from repro.core.tagging import TagResult, compute_emissions, tag_chunked, \
-    tag_global
+from repro.core.tagging import TagResult, compute_emissions, \
+    expand_symbol_tags, tag_chunked, tag_global
 from repro.core.tagging_modes import build_keep_mask, column_indexes, \
     prepare_css
 from repro.core.typeinfer import infer_column_type
@@ -96,6 +96,7 @@ __all__ = [
     "StagePipeline",
     "default_pipeline",
     "as_input_array",
+    "new_array_bytes",
 ]
 
 
@@ -171,14 +172,14 @@ class ChunkContexts(ChunkVectors):
 
 @dataclass
 class TaggedInput(RawInput):
-    """The input with every symbol classified and tagged (§3.1-§3.2).
+    """The input classified and tagged per field (§3.1-§3.2).
 
     Deliberately grid-free: a sharded executor produces this payload by
     merging per-shard tag results, without ever materialising a global
     chunk grid.
     """
 
-    #: Per-symbol classification and record/column tags.
+    #: Data bitmap, delimiter positions and per-field record/column tags.
     tags: TagResult
     #: First byte offset at which the automaton sat in the INV sink.
     invalid_position: int | None
@@ -204,34 +205,22 @@ class ValidatedInput(TaggedInput):
     num_rows: int
     #: Records dropped by policy or the invalid tail.
     rejected_records: int
-    #: Input extended with the virtual trailing record delimiter.
-    data_ext: np.ndarray
-    #: Per-position tags over the extended input.
-    col_ids: np.ndarray
-    rec_ids: np.ndarray
-    data_mask: np.ndarray
-    delim_mask: np.ndarray
-    #: ``(n_ext,)`` bool — positions entering the partition.
-    keep: np.ndarray
-    #: Ascending delimiter positions over the extended input (including
-    #: the virtual trailing delimiter), threaded through from the
-    #: tagging stage when it materialised them; ``None`` on the
-    #: paper-faithful chunked path.  Column tags are constant between
-    #: consecutive entries — the run structure that licenses the
-    #: field-run partition strategy.
-    delim_positions: np.ndarray | None
+    #: ``(m + 1,)`` bool — fields entering the partition: fields of
+    #: surviving records in selected columns.  The last field of a
+    #: trailing record ends at a virtual record delimiter past the input.
+    field_keep: np.ndarray
 
 
 @dataclass
 class PartitionedInput(ValidatedInput):
-    """Validated input with symbols partitioned into per-column CSSs."""
+    """Validated input with fields partitioned into per-column CSSs."""
 
-    #: The stable column partition.
+    #: The stable column partition and its per-column field index.
     part: PartitionResult
     #: CSS after mode-specific post-processing (§4.1).
     css: np.ndarray
-    #: CSS positions holding field terminators.
-    aux_delims: np.ndarray
+    #: The strategy that produced :attr:`part`.
+    strategy: PartitionStrategy
 
 
 @dataclass
@@ -442,8 +431,8 @@ class ValidateStage(Stage):
     """Validation, column-count resolution, policies and selection (§4.3).
 
     Everything between tagging and partitioning: the validation report,
-    structural/policy record masks, the row mapping, the virtual trailing
-    delimiter, and the partition keep-mask.
+    structural/policy record masks, the row mapping and the per-field
+    partition keep flags — all per record or per field, never per symbol.
     """
 
     name = "validate"
@@ -471,26 +460,11 @@ class ValidateStage(Stage):
         rows_of_record, num_rows = row_mapping(valid_records)
         rejected = int(tags.num_records - num_rows)
 
-        (data_ext, col_ids, rec_ids, data_mask, delim_mask,
-         delim_positions) = self._extend_trailing(options, payload.raw,
-                                                  tags, report)
-
-        mode = options.tagging_mode
-        col_ok = (col_ids < num_columns) & (col_ids >= 0)
-        col_ok &= column_mask[np.clip(col_ids, 0, max(0, num_columns - 1))] \
-            if num_columns else False
-        if tags.num_records:
-            # Positions in a trailing comment (no content after the last
-            # record delimiter) carry a record id one past the end; they
-            # are never content, so clipping is safe.
-            rec_ok = valid_records[np.clip(rec_ids, 0,
-                                           tags.num_records - 1)]
-        else:
-            rec_ok = np.zeros(col_ids.shape, dtype=bool)
-        if mode is not TaggingMode.TAGGED:
+        if options.tagging_mode is not TaggingMode.TAGGED:
             self._require_consistent_columns(report, valid_records,
                                              num_columns)
-        keep = build_keep_mask(mode, data_mask, delim_mask, col_ok, rec_ok)
+        field_keep = self._field_keep(tags, valid_records, column_mask,
+                                      num_columns)
 
         return ValidatedInput(
             **payload.__dict__,
@@ -502,13 +476,7 @@ class ValidateStage(Stage):
             rows_of_record=rows_of_record,
             num_rows=num_rows,
             rejected_records=rejected,
-            data_ext=data_ext,
-            col_ids=col_ids,
-            rec_ids=rec_ids,
-            data_mask=data_mask,
-            delim_mask=delim_mask,
-            keep=keep,
-            delim_positions=delim_positions,
+            field_keep=field_keep,
         )
 
     def record_metrics(self, metrics, payload: ValidatedInput) -> None:
@@ -545,7 +513,7 @@ class ValidateStage(Stage):
                             dtype=np.int64)
             valid[skip] = False
         if report.invalid_position is not None and tags.num_records:
-            first_bad = int(tags.record_ids[report.invalid_position])
+            first_bad = tags.record_of(report.invalid_position)
             valid[first_bad:] = False
         return valid
 
@@ -565,41 +533,20 @@ class ValidateStage(Stage):
         return valid
 
     @staticmethod
-    def _extend_trailing(options: ParseOptions, raw: np.ndarray,
-                         tags: TagResult, report
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray, np.ndarray,
-                                    np.ndarray | None]:
-        """Append a virtual record delimiter for an unterminated record.
+    def _field_keep(tags: TagResult, valid_records: np.ndarray,
+                    column_mask: np.ndarray, num_columns: int) -> np.ndarray:
+        """One keep flag per field: surviving record, selected column.
 
-        This gives the trailing record's last field a terminator, so the
-        inline/delimited CSS modes need no special-casing.  The virtual
-        position is never field data.  The tagging stage's per-delimiter
-        position array (when present) is extended alongside, so the
-        partition stage sees run structure consistent with the extended
-        input.
+        The last field of an input without a trailing record carries
+        record ``num_records`` (one past the end) and is never kept.
         """
-        delim_mask = tags.record_delim | tags.field_delim
-        if not tags.has_trailing_record:
-            return (raw, tags.column_ids, tags.record_ids, tags.data_mask,
-                    delim_mask, tags.delim_positions)
-        last_record = tags.num_records - 1
-        last_column = int(report.field_counts[last_record]) - 1
-        data_ext = np.concatenate([
-            raw, np.array([options.dialect.record_delimiter_byte],
-                          dtype=np.uint8)])
-        col_ids = np.concatenate([tags.column_ids,
-                                  np.array([last_column], dtype=np.int64)])
-        rec_ids = np.concatenate([tags.record_ids,
-                                  np.array([last_record], dtype=np.int64)])
-        data_mask = np.concatenate([tags.data_mask, [False]])
-        delim_ext = np.concatenate([delim_mask, [True]])
-        delim_positions = tags.delim_positions
-        if delim_positions is not None:
-            delim_positions = np.concatenate([
-                delim_positions, np.array([raw.size], dtype=np.int64)])
-        return data_ext, col_ids, rec_ids, data_mask, delim_ext, \
-            delim_positions
+        record_ok = np.zeros(tags.num_records + 1, dtype=bool)
+        record_ok[:tags.num_records] = valid_records
+        column_ok = np.zeros(num_columns + 1, dtype=bool)
+        column_ok[:num_columns] = column_mask
+        keep = record_ok[tags.field_records]
+        keep &= column_ok[np.minimum(tags.field_columns, num_columns)]
+        return keep
 
     @staticmethod
     def _require_consistent_columns(report, valid_records: np.ndarray,
@@ -619,11 +566,11 @@ class PartitionStage(Stage):
     """Phase 3a: stable column partition + CSS post-processing (§3.3).
 
     Selects the partition strategy: ``ParseOptions.partition_strategy``
-    when set, otherwise field-run whenever the tagging stage threaded
-    per-delimiter position arrays through the payload (run-structured
-    tags), with the GPU-faithful radix sort as the fallback.  Both
-    strategies produce bit-identical :class:`PartitionResult` values, so
-    everything downstream is untouched by the choice.
+    when set, otherwise the field partition for the production tagger
+    (:attr:`TaggingImpl.GLOBAL`) and the GPU-faithful radix sort for the
+    paper-faithful chunked tagger.  Both strategies produce bit-identical
+    CSS and field indexes, so everything downstream is untouched by the
+    choice.
     """
 
     name = "partition"
@@ -632,51 +579,77 @@ class PartitionStage(Stage):
     output_type = PartitionedInput
 
     @staticmethod
-    def resolve_strategy(options: ParseOptions,
-                         delim_positions: np.ndarray | None
-                         ) -> PartitionStrategy:
-        """The strategy this parse runs with (auto = by run structure)."""
+    def resolve_strategy(options: ParseOptions) -> PartitionStrategy:
+        """The strategy this parse runs with (auto = by tagging impl)."""
         if options.partition_strategy is not None:
             return options.partition_strategy
-        return PartitionStrategy.FIELD_RUN if delim_positions is not None \
+        return PartitionStrategy.FIELD_RUN \
+            if options.tagging_impl is TaggingImpl.GLOBAL \
             else PartitionStrategy.RADIX
 
     def run(self, ctx, payload: ValidatedInput) -> PartitionedInput:
         options = ctx.options
-        strategy = self.resolve_strategy(options, payload.delim_positions)
-        if strategy is PartitionStrategy.FIELD_RUN \
-                and payload.delim_positions is None:
-            # ParseOptions rejects the known-bad combinations up front;
-            # this guards any future tagging path that drops the
-            # per-delimiter positions an explicit field-run needs.
-            raise ParseError(
-                "partition_strategy='field-run' needs the per-delimiter "
-                "position arrays, but this tagging path did not "
-                "materialise them; use partition_strategy='radix' or "
-                "None (auto)")
+        strategy = self.resolve_strategy(options)
+        tags = payload.tags
         if strategy is PartitionStrategy.FIELD_RUN:
-            part = partition_field_runs(payload.data_ext, payload.keep,
-                                        payload.col_ids, payload.rec_ids,
-                                        payload.num_columns,
-                                        payload.delim_positions)
+            part = partition_fields(
+                payload.raw, tags.data_mask, tags.delim_positions,
+                tags.field_columns, tags.field_records, payload.field_keep,
+                payload.num_columns,
+                terminated=options.tagging_mode is not TaggingMode.TAGGED,
+                end_byte=options.dialect.record_delimiter_byte)
         else:
-            part = partition_by_column(payload.data_ext, payload.keep,
-                                       payload.col_ids, payload.rec_ids,
-                                       payload.num_columns)
-        css, aux_delims = prepare_css(options.tagging_mode, part,
-                                      payload.delim_mask, options)
+            part = self._partition_symbols(options, payload)
+        css = prepare_css(options.tagging_mode, part, options)
         return PartitionedInput(**payload.__dict__, part=part, css=css,
-                                aux_delims=aux_delims)
+                                strategy=strategy)
+
+    @staticmethod
+    def _partition_symbols(options: ParseOptions,
+                           payload: ValidatedInput) -> PartitionResult:
+        """The GPU-faithful path: per-symbol tags and keep mask, radix sort.
+
+        The per-symbol streams are expanded from the field tags, over the
+        input extended by the virtual record delimiter of a trailing
+        record, so the inline/delimited modes see that record's last
+        field terminated like every other.
+        """
+        tags = payload.tags
+        mode = options.tagging_mode
+        virtual = tags.has_trailing_record
+        symbols = expand_symbol_tags(tags, virtual_delimiter=virtual)
+        data, data_mask = payload.raw, tags.data_mask
+        if virtual:
+            data = np.concatenate([data, np.array(
+                [options.dialect.record_delimiter_byte], dtype=np.uint8)])
+            data_mask = np.concatenate([data_mask, [False]])
+        delim_mask = symbols.record_delim | symbols.field_delim
+        col_ids, rec_ids = symbols.column_ids, symbols.record_ids
+        num_columns, num_records = payload.num_columns, tags.num_records
+        col_ok = (col_ids < num_columns) & (col_ids >= 0)
+        col_ok &= payload.column_mask[
+            np.clip(col_ids, 0, max(0, num_columns - 1))] \
+            if num_columns else False
+        if num_records:
+            # Positions in a trailing comment (no content after the last
+            # record delimiter) carry a record id one past the end; they
+            # are never content, so clipping is safe.
+            rec_ok = payload.valid_records[np.clip(rec_ids, 0,
+                                                   num_records - 1)]
+        else:
+            rec_ok = np.zeros(col_ids.shape, dtype=bool)
+        keep = build_keep_mask(mode, data_mask, delim_mask, col_ok, rec_ok)
+        return partition_by_column(
+            data, keep, col_ids, rec_ids, num_columns,
+            terminators=None if mode is TaggingMode.TAGGED else delim_mask)
 
     def record_metrics(self, metrics, payload: PartitionedInput) -> None:
-        # 1.0 = field-run, 0.0 = radix (num_field_runs is the field-run
-        # strategy's diagnostic by-product; the radix path never counts
-        # runs).
-        field_run = payload.part.num_field_runs is not None
+        # 1.0 = field partition, 0.0 = radix.
+        field_run = payload.strategy is PartitionStrategy.FIELD_RUN
         metrics.gauge("stage.partition.strategy",
                       1.0 if field_run else 0.0)
         if field_run:
-            metrics.gauge("partition.fields", payload.part.num_field_runs)
+            metrics.gauge("partition.fields", payload.part.num_fields)
 
 
 class ConvertStage(Stage):
@@ -693,8 +666,7 @@ class ConvertStage(Stage):
         part, css = payload.part, payload.css
         num_columns, num_rows = payload.num_columns, payload.num_rows
 
-        indexes = column_indexes(mode, part, css, payload.aux_delims,
-                                 options)
+        indexes = column_indexes(mode, part)
         schema = payload.schema
         if schema is None:
             schema = self._infer_schema(options, part, css, indexes,
@@ -770,6 +742,48 @@ class ConvertStage(Stage):
         return Schema(fields)
 
 
+# -- payload accounting ------------------------------------------------------
+
+def _array_buffers(payload) -> dict[int, int]:
+    """Identity -> bytes of every buffer the payload's arrays live in.
+
+    Walks the payload's dataclass fields, nested package objects
+    (tag/partition results, tables, columns) and containers; views
+    count towards the buffer they look into, once.
+    """
+    buffers: dict[int, int] = {}
+    seen: set[int] = set()
+    stack = [payload]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            root = item
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            owner = root if root.base is None else root.base
+            buffers[id(owner)] = max(buffers.get(id(owner), 0), root.nbytes)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif type(item).__module__.startswith("repro.") \
+                and hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return buffers
+
+
+def new_array_bytes(before, after) -> int:
+    """Bytes of the ndarray buffers ``after`` holds that ``before`` lacks
+    — what a stage allocated into its output payload (the
+    ``stage.<name>.bytes`` gauge)."""
+    old = _array_buffers(before)
+    return sum(nbytes for key, nbytes in _array_buffers(after).items()
+               if key not in old)
+
+
 # -- the pipeline ------------------------------------------------------------
 
 class StagePipeline:
@@ -820,6 +834,7 @@ class StagePipeline:
             with ctx.timer.step(stage.timer_step):
                 return stage.run(ctx, payload)
         start = time.perf_counter()
+        before = payload
         with tracer.span(f"stage:{stage.name}",
                          step=stage.timer_step or ""):
             if stage.timer_step is None:
@@ -830,6 +845,8 @@ class StagePipeline:
         if metrics.enabled:
             metrics.observe(f"stage.{stage.name}.seconds",
                             time.perf_counter() - start)
+            metrics.gauge(f"stage.{stage.name}.bytes",
+                          new_array_bytes(before, payload))
             stage.record_metrics(metrics, payload)
         return payload
 

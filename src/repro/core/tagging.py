@@ -1,20 +1,32 @@
-"""Phase 2 — bitmap indexes and record/column tags (paper §3.1-3.2).
+"""Phase 2 — bitmap indexes and per-field record/column tags (§3.1-3.2).
 
 With every chunk's start state known (phase 1), each thread re-simulates a
 *single* DFA instance over its chunk, classifying every symbol via the
-emission table: the three bitmap indexes of §3.1 (record delimiters, field
-delimiters, control symbols).  The §3.2 offset machinery then tags every
-symbol with the record and column it belongs to.
+emission table: the bitmap indexes of §3.1 (record delimiters, field
+delimiters, data symbols).  The §3.2 offset machinery then tags every
+field with the record and column it belongs to.
+
+The tags are kept at *field* granularity.  The delimiters cut the input
+into ``m + 1`` fields: field ``j`` runs from just after delimiter
+``j - 1`` up to delimiter ``j``, which terminates it, and the last field
+runs to the end of the input.  Record and column ids are constant on a
+field, so :class:`TagResult` stores one of each per field, derived in
+``O(m)`` from the delimiter positions and their record flags — the
+per-symbol id streams of the paper's GPU formulation are never built on
+the production path.  :func:`expand_symbol_tags` materialises them on
+demand, for the radix-sort partition oracle and for comparing against
+the chunked tagger.
 
 Two interchangeable implementations are provided (selected by
 :class:`~repro.core.options.TaggingImpl`):
 
-* ``GLOBAL`` — computes record/column ids with whole-input cumulative sums
-  (three vectorised passes).  This is the production path.
+* ``GLOBAL`` — per-field tags from whole-input delimiter bookkeeping
+  (:func:`tag_global`).  This is the production path.
 * ``CHUNKED`` — the paper's formulation: per-chunk counts and rel/abs
   offsets, prefix scans across chunks (:mod:`repro.core.offsets`), then a
-  per-chunk tagging sweep seeded with the scanned offsets.  Structurally
-  identical to the GPU kernels; used by tests and ablations.
+  per-chunk tagging sweep seeded with the scanned offsets
+  (:func:`symbol_tags_chunked`).  Structurally identical to the GPU
+  kernels; used by tests and ablations.
 
 Both produce bit-identical :class:`TagResult` values (property tested).
 """
@@ -31,45 +43,73 @@ from repro.core.chunking import Chunking
 from repro.core.offsets import compute_chunk_offsets
 from repro.dfa.automaton import Dfa, Emission
 from repro.errors import ParseError
-from repro.scan.numpy_scan import exclusive_sum
 
-__all__ = ["TagResult", "compute_emissions", "tag_global", "tag_chunked",
-           "build_tag_result"]
+__all__ = ["TagResult", "SymbolTags", "compute_emissions", "classify",
+           "tag_fields", "tag_global", "tag_chunked", "symbol_tags_chunked",
+           "expand_symbol_tags"]
 
 
 @dataclass
 class TagResult:
-    """Per-symbol classification and tags for the whole input.
+    """Per-field record/column tags plus the data bitmap of the input.
 
-    All arrays have input length (padding removed).
+    Field ``j`` ends at ``delim_positions[j]`` (its terminator) for
+    ``j < m``; field ``m`` ends at the input end, where an unterminated
+    trailing record gets a virtual record delimiter.  Every array except
+    ``data_mask`` is ``O(m)``.
     """
 
-    #: ``(n,)`` :class:`~repro.dfa.automaton.Emission` codes.
-    emissions: np.ndarray
-    #: ``(n,)`` bool — record-delimiter bitmap index.
-    record_delim: np.ndarray
-    #: ``(n,)`` bool — field-delimiter bitmap index (field delims only).
-    field_delim: np.ndarray
     #: ``(n,)`` bool — symbol is field data.
     data_mask: np.ndarray
-    #: ``(n,)`` int64 — record each symbol belongs to.
-    record_ids: np.ndarray
-    #: ``(n,)`` int64 — column each symbol belongs to (delimiters carry
-    #: the column of the field they terminate).
-    column_ids: np.ndarray
+    #: ``(m,)`` int64 ascending positions of all delimiters (record or
+    #: field).
+    delim_positions: np.ndarray
+    #: ``(m,)`` bool — the delimiter ends a record (not just a field).
+    delim_is_record: np.ndarray
+    #: ``(m + 1,)`` int64 — record of each field (record delimiters
+    #: strictly before it).  Field ``m`` of an input without a trailing
+    #: record carries ``num_records``, one past the last record.
+    field_records: np.ndarray
+    #: ``(m + 1,)`` int64 — column of each field (its ordinal within the
+    #: record).
+    field_columns: np.ndarray
     #: DFA state after the last input symbol.
     final_state: int
     #: Whether the input ends mid-record (no trailing record delimiter).
     has_trailing_record: bool
     #: Total records, including a trailing unterminated one.
     num_records: int
-    #: ``(m,)`` int64 ascending positions of all delimiters (record or
-    #: field), when the tagging implementation materialised them — the
-    #: run structure the field-run partition strategy exploits (§3.3):
-    #: column tags are constant on every segment between consecutive
-    #: delimiter positions.  ``None`` on the paper-faithful chunked path,
-    #: which never builds per-delimiter arrays.
-    delim_positions: np.ndarray | None = None
+
+    @property
+    def num_fields(self) -> int:
+        """Fields including the final one (``m + 1``)."""
+        return int(self.field_records.size)
+
+    def record_positions(self) -> np.ndarray:
+        """Ascending positions of the record delimiters."""
+        return self.delim_positions[self.delim_is_record]
+
+    def record_of(self, position: int) -> int:
+        """The record byte ``position`` belongs to (a delimiter belongs
+        to the field it terminates)."""
+        field = int(np.searchsorted(self.delim_positions, position))
+        return int(self.field_records[field])
+
+
+@dataclass
+class SymbolTags:
+    """The per-symbol view of the tags: the paper's bitmap indexes and
+    per-symbol record/column id streams, over ``size`` positions."""
+
+    #: ``(size,)`` bool — record-delimiter bitmap index.
+    record_delim: np.ndarray
+    #: ``(size,)`` bool — field-delimiter bitmap index (field delims only).
+    field_delim: np.ndarray
+    #: ``(size,)`` int64 — record each symbol belongs to.
+    record_ids: np.ndarray
+    #: ``(size,)`` int64 — column each symbol belongs to (delimiters
+    #: carry the column of the field they terminate).
+    column_ids: np.ndarray
 
 
 def compute_emissions(groups: np.ndarray, start_states: np.ndarray,
@@ -124,166 +164,122 @@ def compute_emissions(groups: np.ndarray, start_states: np.ndarray,
     return flat, final_state, invalid_position
 
 
-def _bitmaps(emissions: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """The three bitmap indexes of §3.1 from the emission codes."""
-    record_delim = emissions == int(Emission.RECORD_DELIMITER)
-    field_delim = emissions == int(Emission.FIELD_DELIMITER)
+def classify(emissions: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The §3.1 bitmap indexes of an emission stream, in field form.
+
+    Returns ``(data_mask, delim_positions, delim_is_record,
+    tail_content)``: the data bitmap, the ascending delimiter positions,
+    each delimiter's record flag, and whether record content (DATA,
+    FIELD_DELIMITER or CONTROL — a lone ``\"\"`` is a record with one empty
+    field; COMMENT is not content) follows the last record delimiter.
+    Only the slice after the last record delimiter is inspected for the
+    latter.
+    """
     data_mask = emissions == int(Emission.DATA)
-    return record_delim, field_delim, data_mask
+    # FIELD_DELIMITER (1) and RECORD_DELIMITER (2) are the codes in
+    # [1, 3); the uint8 subtraction wraps DATA (0) to 255.
+    delim_positions = np.flatnonzero(
+        (emissions - np.uint8(1)) < np.uint8(2))
+    delim_is_record = emissions[delim_positions] \
+        == int(Emission.RECORD_DELIMITER)
+    return data_mask, delim_positions, delim_is_record, \
+        _tail_content(emissions, delim_positions, delim_is_record)
 
 
-def _exclusive_count(mask: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """``out[i]`` = number of set bits strictly before ``i``.
-
-    Semantically ``exclusive_sum(mask)``, but exploiting that the result
-    is a step function: between consecutive set positions the count is
-    constant, so it can be materialised by run-length ``np.repeat`` over
-    the (small) position array instead of a full-width prefix sum —
-    several times cheaper at realistic delimiter densities.  Dense masks
-    fall back to the scan.
-    """
-    n = mask.size
-    if n == 0 or positions.size * 2 > n:
-        return exclusive_sum(mask)
-    edges = np.empty(positions.size + 2, dtype=np.int64)
-    edges[0] = -1
-    edges[1:-1] = positions
-    edges[-1] = n - 1
-    return np.repeat(np.arange(positions.size + 1, dtype=np.int64),
-                     np.diff(edges))
+def _tail_content(emissions: np.ndarray, delim_positions: np.ndarray,
+                  delim_is_record: np.ndarray) -> bool:
+    """Whether anything but COMMENT follows the last record delimiter."""
+    records = np.flatnonzero(delim_is_record)
+    tail = emissions if records.size == 0 \
+        else emissions[int(delim_positions[records[-1]]) + 1:]
+    return bool(np.any(tail != int(Emission.COMMENT)))
 
 
-def _trailing_record(emissions: np.ndarray,
-                     record_positions: np.ndarray) -> bool:
-    """Whether record content follows the last record delimiter.
+def tag_fields(data_mask: np.ndarray, delim_positions: np.ndarray,
+               delim_is_record: np.ndarray, final_state: int,
+               tail_content: bool) -> TagResult:
+    """Per-field record/column ids from the delimiter positions.
 
-    Content = DATA, FIELD_DELIMITER or CONTROL emissions (a lone ``\"\"``
-    is a record with one empty field); COMMENT emissions are not content.
-    Only the slice after the last record delimiter is classified — for a
-    delimiter-terminated input that is a handful of bytes, not the whole
-    stream.
-    """
-    tail = emissions if record_positions.size == 0 \
-        else emissions[int(record_positions[-1]) + 1:]
-    content = ((tail == int(Emission.DATA))
-               | (tail == int(Emission.FIELD_DELIMITER))
-               | (tail == int(Emission.CONTROL)))
-    return bool(content.any())
-
-
-def _finalise(emissions: np.ndarray, record_ids: np.ndarray,
-              column_ids: np.ndarray, final_state: int,
-              bitmaps: tuple[np.ndarray, np.ndarray, np.ndarray]
-              | None = None,
-              record_positions: np.ndarray | None = None,
-              delim_positions: np.ndarray | None = None) -> TagResult:
-    record_delim, field_delim, data_mask = bitmaps if bitmaps is not None \
-        else _bitmaps(emissions)
-    if record_positions is None:
-        record_positions = np.flatnonzero(record_delim)
-    trailing = _trailing_record(emissions, record_positions)
-    num_records = record_positions.size + (1 if trailing else 0)
-    return TagResult(
-        emissions=emissions,
-        record_delim=record_delim,
-        field_delim=field_delim,
-        data_mask=data_mask,
-        record_ids=record_ids,
-        column_ids=column_ids,
-        final_state=final_state,
-        has_trailing_record=trailing,
-        num_records=num_records,
-        delim_positions=delim_positions,
-    )
-
-
-def build_tag_result(emissions: np.ndarray, record_ids: np.ndarray,
-                     column_ids: np.ndarray, final_state: int, *,
-                     run_structured: bool = True) -> TagResult:
-    """Assemble a :class:`TagResult` from externally computed tags.
-
-    Bitmap indexes, the trailing-record flag and the record count are
-    derived from the emission stream exactly as :func:`tag_global` does —
-    used by the sharded executor after merging per-shard record/column ids
-    with the rel/abs offset scan.
-
-    ``run_structured`` materialises the per-delimiter position array
-    (the :func:`tag_global` contract, licensing the field-run partition
-    strategy); the sharded executor passes ``False`` when the workers
-    ran the paper-faithful chunked implementation, so serial and sharded
-    schedules resolve the auto partition strategy identically.
-    """
-    result = _finalise(emissions, record_ids, column_ids, final_state)
-    if run_structured:
-        result.delim_positions = np.flatnonzero(result.record_delim
-                                                | result.field_delim)
-    return result
-
-
-def tag_global(emissions: np.ndarray, final_state: int) -> TagResult:
-    """Record/column ids via whole-input delimiter bookkeeping.
-
-    * ``record_ids[i]`` = record delimiters strictly before ``i``;
-    * ``column_ids[i]`` = delimiters (field or record) between the start of
-      ``i``'s record and ``i`` — inside a record every such delimiter is a
+    * ``field_records[j]`` = record delimiters among the first ``j``
+      delimiters;
+    * ``field_columns[j]`` = ``j`` minus the index of the first delimiter
+      of field ``j``'s record — inside a record every delimiter is a
       field delimiter, so this is the running column index, resetting at
       record boundaries.
 
-    Both id streams are piecewise constant between delimiters, so at
-    realistic delimiter densities they are materialised by run-length
-    ``np.repeat`` over per-delimiter arrays — every full-width
-    intermediate (prefix sums, per-position gathers) disappears, leaving
-    one sequential write per output array.  Delimiter-dense inputs fall
-    back to the prefix-sum formulation.
+    ``O(m)`` work and memory; shared by :func:`tag_global` and the
+    sharded executor, which concatenates shard-local delimiter arrays.
     """
-    record_delim, field_delim, data_mask = _bitmaps(emissions)
-    n = emissions.size
-    record_positions = np.flatnonzero(record_delim)
-    record_ids = _exclusive_count(record_delim, record_positions)
-
-    delim_any = record_delim | field_delim
-    delim_positions = np.flatnonzero(delim_any)
     m = delim_positions.size
-    if n and 2 * m <= n:
-        # Segment j of the column-id stream spans (dp[j-1], dp[j]] shifted
-        # by one — i.e. starts right after delimiter j-1 — and holds the
-        # constant ``j - t[r_j]``: j delims seen so far, minus the delim
-        # count at the start of the enclosing record (t), where r_j counts
-        # the record delimiters among the first j delims.
-        is_record = record_delim[delim_positions]
-        records_before = np.empty(m + 1, dtype=np.int64)
-        records_before[0] = 0
-        np.cumsum(is_record, dtype=np.int64, out=records_before[1:])
-        record_start_delims = np.empty(record_positions.size + 1,
-                                       dtype=np.int64)
-        record_start_delims[0] = 0
-        record_start_delims[1:] = np.flatnonzero(is_record) + 1
-        segment_values = np.arange(m + 1, dtype=np.int64) \
-            - record_start_delims[records_before]
-        bounds = np.empty(m + 2, dtype=np.int64)
-        bounds[0] = 0
-        bounds[1:-1] = delim_positions + 1
-        bounds[-1] = n
-        column_ids = np.repeat(segment_values, np.diff(bounds))
-    else:
-        # Dense fallback: delims before the start of each record, as a
-        # per-record table; subtracting via a gather from it is the whole
-        # per-position reset.
-        delims_before = exclusive_sum(delim_any)
-        start_offsets = np.empty(record_positions.size + 1, dtype=np.int64)
-        start_offsets[0] = 0
-        start_offsets[1:] = delims_before[record_positions] + 1
-        column_ids = delims_before - start_offsets[record_ids]
-    return _finalise(emissions, record_ids, column_ids, final_state,
-                     bitmaps=(record_delim, field_delim, data_mask),
-                     record_positions=record_positions,
-                     delim_positions=delim_positions)
+    field_records = np.empty(m + 1, dtype=np.int64)
+    field_records[0] = 0
+    np.cumsum(delim_is_record, dtype=np.int64, out=field_records[1:])
+    num_record_delims = int(field_records[-1])
+    # First delimiter index of each record: 0, then one past each
+    # record delimiter.
+    record_first = np.empty(num_record_delims + 1, dtype=np.int64)
+    record_first[0] = 0
+    record_first[1:] = np.flatnonzero(delim_is_record) + 1
+    field_columns = np.arange(m + 1, dtype=np.int64)
+    field_columns -= record_first[field_records]
+    return TagResult(
+        data_mask=data_mask,
+        delim_positions=delim_positions,
+        delim_is_record=delim_is_record,
+        field_records=field_records,
+        field_columns=field_columns,
+        final_state=final_state,
+        has_trailing_record=tail_content,
+        num_records=num_record_delims + (1 if tail_content else 0),
+    )
 
 
-def tag_chunked(emissions: np.ndarray, final_state: int,
-                chunking: Chunking) -> TagResult:
-    """Record/column ids via the paper's per-chunk offsets + scans.
+def tag_global(emissions: np.ndarray, final_state: int) -> TagResult:
+    """Per-field tags via whole-input delimiter bookkeeping."""
+    data_mask, delim_positions, delim_is_record, tail_content = \
+        classify(emissions)
+    return tag_fields(data_mask, delim_positions, delim_is_record,
+                      final_state, tail_content)
+
+
+def expand_symbol_tags(tags: TagResult, *,
+                       virtual_delimiter: bool = False) -> SymbolTags:
+    """Materialise the per-symbol bitmaps and id streams of ``tags``.
+
+    Field ``j`` covers its bytes *and* its terminating delimiter, so each
+    id stream is the per-field ids repeated by field span.  With
+    ``virtual_delimiter`` the streams gain one position past the input —
+    the virtual record delimiter terminating a trailing record — which
+    belongs to the last field.  ``O(n)`` int64 arrays: used only by the
+    radix-sort partition oracle and to compare against
+    :func:`symbol_tags_chunked`.
+    """
+    n = tags.data_mask.size
+    size = n + 1 if virtual_delimiter else n
+    dp = tags.delim_positions
+    bounds = np.empty(dp.size + 2, dtype=np.int64)
+    bounds[0] = 0
+    bounds[1:-1] = dp + 1
+    bounds[-1] = size
+    spans = np.diff(bounds)
+    record_delim = np.zeros(size, dtype=bool)
+    record_delim[dp[tags.delim_is_record]] = True
+    field_delim = np.zeros(size, dtype=bool)
+    field_delim[dp[~tags.delim_is_record]] = True
+    if virtual_delimiter:
+        record_delim[n] = True
+    return SymbolTags(
+        record_delim=record_delim,
+        field_delim=field_delim,
+        record_ids=np.repeat(tags.field_records, spans),
+        column_ids=np.repeat(tags.field_columns, spans),
+    )
+
+
+def symbol_tags_chunked(emissions: np.ndarray,
+                        chunking: Chunking) -> SymbolTags:
+    """Per-symbol ids via the paper's per-chunk offsets + scans.
 
     Pads the emission stream back to the chunk grid, computes each chunk's
     record count and rel/abs column offset, scans both across chunks
@@ -318,5 +314,46 @@ def tag_chunked(emissions: np.ndarray, final_state: int,
         record_counter = record_counter + is_record
         column_counter = np.where(is_record, 0,
                                   column_counter + is_field)
-    return _finalise(emissions, record_ids.reshape(-1)[:n],
-                     column_ids.reshape(-1)[:n], final_state)
+    return SymbolTags(
+        record_delim=record_delim.reshape(-1)[:n],
+        field_delim=field_delim.reshape(-1)[:n],
+        record_ids=record_ids.reshape(-1)[:n],
+        column_ids=column_ids.reshape(-1)[:n],
+    )
+
+
+def tag_chunked(emissions: np.ndarray, final_state: int,
+                chunking: Chunking) -> TagResult:
+    """Per-field tags read off the paper's per-symbol tagging sweep.
+
+    Each delimiter carries the ids of the field it terminates, so fields
+    ``0..m-1`` take the sweep's ids at the delimiter positions; the final
+    field continues the last delimiter's record and column.
+    """
+    symbols = symbol_tags_chunked(emissions, chunking)
+    delim_positions = np.flatnonzero(symbols.record_delim
+                                     | symbols.field_delim)
+    delim_is_record = symbols.record_delim[delim_positions]
+    m = delim_positions.size
+    field_records = np.empty(m + 1, dtype=np.int64)
+    field_columns = np.empty(m + 1, dtype=np.int64)
+    field_records[:m] = symbols.record_ids[delim_positions]
+    field_columns[:m] = symbols.column_ids[delim_positions]
+    if m:
+        last_is_record = bool(delim_is_record[-1])
+        field_records[m] = field_records[m - 1] + last_is_record
+        field_columns[m] = 0 if last_is_record else field_columns[m - 1] + 1
+    else:
+        field_records[m] = field_columns[m] = 0
+    tail_content = _tail_content(emissions, delim_positions,
+                                 delim_is_record)
+    return TagResult(
+        data_mask=emissions == int(Emission.DATA),
+        delim_positions=delim_positions,
+        delim_is_record=delim_is_record,
+        field_records=field_records,
+        field_columns=field_columns,
+        final_state=final_state,
+        has_trailing_record=tail_content,
+        num_records=int(field_records[m]) + (1 if tail_content else 0),
+    )

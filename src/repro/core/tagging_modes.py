@@ -14,16 +14,15 @@ The three CSS layouts trade robustness against memory traffic:
   auxiliary boolean vector instead of a reserved byte (1 bit/symbol).
 
 This module owns the mode-specific steps the parser composes: building the
-partition keep-mask, post-processing the CSS (terminator substitution /
-auxiliary vector extraction), and per-column index construction.
+per-symbol keep-mask of the radix partition oracle, post-processing the
+CSS (terminator substitution), and per-column index construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.css import ColumnIndex, delimited_index, inline_index, \
-    tagged_index
+from repro.core.css import ColumnIndex
 from repro.core.options import ParseOptions, TaggingMode
 from repro.core.partition import PartitionResult
 from repro.errors import ParseError
@@ -34,7 +33,7 @@ __all__ = ["build_keep_mask", "prepare_css", "column_indexes"]
 def build_keep_mask(mode: TaggingMode, data_mask: np.ndarray,
                     delim_mask: np.ndarray, column_ok: np.ndarray,
                     record_ok: np.ndarray) -> np.ndarray:
-    """Positions entering the partition under the given mode.
+    """Positions entering the radix partition under the given mode.
 
     Record-tagged keeps data symbols only; the inline/delimited modes also
     keep each field's terminating delimiter (it becomes the terminator /
@@ -46,58 +45,48 @@ def build_keep_mask(mode: TaggingMode, data_mask: np.ndarray,
 
 
 def prepare_css(mode: TaggingMode, part: PartitionResult,
-                delim_mask: np.ndarray,
-                options: ParseOptions) -> tuple[np.ndarray, np.ndarray]:
+                options: ParseOptions) -> np.ndarray:
+    # parlint: returns-borrowed -- part.css itself outside the inline mode
     """Mode-specific CSS post-processing after the partition.
 
-    Returns ``(css, aux_delims)`` where ``aux_delims`` marks the CSS
-    positions holding field terminators (used by both non-tagged modes;
-    empty semantics for record-tagged).
-
-    For the inline mode this performs the §4.1 substitution — delimiters
-    become the reserved terminator byte — and verifies the terminator does
-    not occur in field data (the documented precondition; use the
-    vector-delimited mode otherwise).
+    For the inline mode this performs the §4.1 substitution — field
+    terminators become the reserved terminator byte — and verifies the
+    terminator does not occur in field data (the documented
+    precondition; use the vector-delimited mode otherwise).  The other
+    modes use the partition's CSS as is.
     """
-    aux_delims = delim_mask[part.order]
     css = part.css
-    if mode is TaggingMode.INLINE:
-        if bool(np.any(css[~aux_delims] == options.inline_terminator)):
-            raise ParseError(
-                "inline terminator byte occurs in field data; use "
-                "TaggingMode.DELIMITED or a different terminator")
-        css = css.copy()
-        css[aux_delims] = options.inline_terminator
-    return css, aux_delims
+    if mode is not TaggingMode.INLINE:
+        return css
+    terminator = options.inline_terminator
+    ends = part.field_starts + part.field_lengths
+    if np.count_nonzero(css == terminator) \
+            != np.count_nonzero(css[ends] == terminator):
+        raise ParseError(
+            "inline terminator byte occurs in field data; use "
+            "TaggingMode.DELIMITED or a different terminator")
+    css = css.copy()
+    css[ends] = terminator
+    return css
 
 
-def column_indexes(mode: TaggingMode, part: PartitionResult,
-                   css: np.ndarray, aux_delims: np.ndarray,
-                   options: ParseOptions) -> list[ColumnIndex]:
+def column_indexes(mode: TaggingMode,
+                   part: PartitionResult) -> list[ColumnIndex]:
     """Per-column CSS field indexes for the configured mode.
 
-    Record-tagged fast path: when the partition carries per-field run
-    geometry (the ``delim_positions`` field-run strategy), every sorted
-    run is one field, so the index is read straight off the partition —
-    bit-identical to the per-symbol RLE of :func:`tagged_index`, without
-    touching the CSS symbols again.
+    Read straight off the partition's field index.  Record-tagged
+    fields keep their record; the inline/delimited modes index fields by
+    ordinal, which under their consistent-column-count precondition
+    equals the record ordinal among retained records — bit-identical to
+    :func:`~repro.core.css.tagged_index`,
+    :func:`~repro.core.css.inline_index` and
+    :func:`~repro.core.css.delimited_index` over the column CSS.
     """
-    if mode is TaggingMode.TAGGED and part.has_field_geometry:
-        indexes = []
-        for column in range(part.num_columns):
-            records, offsets, lengths = part.column_fields(column)
-            indexes.append(ColumnIndex(records=records, offsets=offsets,
-                                       lengths=lengths))
-        return indexes
     indexes = []
     for column in range(part.num_columns):
-        lo = int(part.column_offsets[column])
-        hi = int(part.column_offsets[column + 1])
-        if mode is TaggingMode.TAGGED:
-            indexes.append(tagged_index(part.record_tags[lo:hi]))
-        elif mode is TaggingMode.INLINE:
-            indexes.append(inline_index(css[lo:hi],
-                                        options.inline_terminator))
-        else:
-            indexes.append(delimited_index(aux_delims[lo:hi]))
+        records, offsets, lengths = part.column_fields(column)
+        if mode is not TaggingMode.TAGGED:
+            records = np.arange(records.size, dtype=np.int64)
+        indexes.append(ColumnIndex(records=records, offsets=offsets,
+                                   lengths=lengths))
     return indexes

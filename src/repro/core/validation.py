@@ -57,10 +57,14 @@ class ValidationReport:
 def record_field_counts(tags: TagResult) -> np.ndarray:
     """Fields per record: field delimiters within the record plus one.
 
+    A ``bincount`` over the records of the fields that field delimiters
+    terminate (delimiter ``j`` terminates field ``j``).
+
     Covers the trailing unterminated record; blank-line records count one
     (empty) field, matching the record semantics of the tagger.
     """
-    counts = np.bincount(tags.record_ids[tags.field_delim],
+    field_delims = ~tags.delim_is_record
+    counts = np.bincount(tags.field_records[:-1][field_delims],
                          minlength=tags.num_records).astype(np.int64)
     return counts + 1
 

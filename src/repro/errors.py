@@ -118,7 +118,18 @@ class StreamingError(ReproError):
 
 
 class ExecutorError(ReproError):
-    """An execution backend was used after being closed, or misconfigured."""
+    """An execution backend was used after being closed, misconfigured,
+    or lost a worker mid-parse."""
+
+    def __init__(self, message: str, *, phase: str | None = None,
+                 shard: int | None = None):
+        super().__init__(message)
+        #: The executor phase that failed (e.g. ``"contexts"``, ``"tags"``),
+        #: if known.
+        self.phase = phase
+        #: Zero-based index of the first shard whose result was lost, if
+        #: known.
+        self.shard = shard
 
 
 class ServeError(ReproError):

@@ -20,10 +20,15 @@ phases across a ``ProcessPoolExecutor``:
    yielding every shard's entering DFA state, and resolves each chunk's
    start state from the shard-local scans;
 3. **tags** (timer step ``tag``) — every worker re-simulates its shard
-   with the now-known start states (emissions + §3.1 bitmaps) and tags
-   records/columns *locally*; the main process shifts record ids by the
-   scanned record counts, resolves head-of-shard column ids with the
-   rel/abs offset scan, and concatenates.
+   with the now-known start states and returns its §3.1 bitmaps in field
+   form: the data bitmap, the shard-local delimiter positions and their
+   record flags; the main process shifts the positions by the shard
+   offsets, concatenates, and derives every field's record and column
+   exactly as the serial tagger does
+   (:func:`~repro.core.tagging.tag_fields`) — ``O(delimiters)`` work, no
+   per-symbol ids shipped.  Both tagging implementations yield these
+   same arrays, so the workers ship them under either; the per-chunk
+   sweep of ``TaggingImpl.CHUNKED`` stays a serial-schedule oracle.
 
 Because a shard entering mid-record or mid-quote is resolved exactly like
 a chunk entering mid-record or mid-quote, shard boundaries are arbitrary
@@ -55,21 +60,21 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from itertools import repeat
 
 import numpy as np
 
 from repro.columnar.guard import protect
-from repro.core.options import TaggingImpl
 from repro.core.chunking import chunk_groups_canonical
 from repro.core.context import compute_transition_vectors
-from repro.core.stages import PipelineContext, RawInput, TaggedInput
-from repro.core.tagging import build_tag_result, compute_emissions, \
-    tag_chunked, tag_global
+from repro.core.stages import PipelineContext, RawInput, TaggedInput, \
+    new_array_bytes
+from repro.core.tagging import classify, compute_emissions, tag_fields
 from repro.dfa.automaton import Dfa
 from repro.dfa.minimize import canonicalize
-from repro.errors import ParseError
+from repro.errors import ExecutorError, ParseError
 from repro.exec.base import Executor
 from repro.kernels import (
     compute_emissions_plan,
@@ -79,8 +84,7 @@ from repro.kernels import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import Tracer, snapshot_spans
-from repro.scan.numpy_scan import exclusive_sum, scan_column_offsets, \
-    scan_transition_vectors
+from repro.scan.numpy_scan import scan_transition_vectors
 
 __all__ = ["ShardedExecutor"]
 
@@ -210,31 +214,20 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
 
 
 # parlint: worker -- runs in pool processes; must stay pure and picklable
-def _compact_ids(ids: np.ndarray) -> np.ndarray:
-    """Downcast int64 tag ids for the trip home when they fit in int32."""
-    if ids.size == 0 or int(ids.max()) < np.iinfo(np.int32).max:
-        return ids.astype(np.int32)
-    return ids
-
-
-# parlint: worker -- runs in pool processes; must stay pure and picklable
 def _shard_tags(shard, dfa: Dfa, chunk_size: int,
-                start_states: np.ndarray, impl_value: str, stride: int = 1,
+                start_states: np.ndarray, stride: int = 1,
                 minimize: bool = True, shard_index: int = 0,
                 observe: bool = False) -> tuple:
-    """Worker phase 2: emissions and shard-local record/column tags.
+    """Worker phase 2: the shard's §3.1 bitmaps in field form.
 
-    Returns ``(emissions, record_ids, column_ids, final_state,
-    invalid_position, record_delims, offset_kind, offset_value, obs)``
-    where the ids are *local* (relative to the shard start), the §3.2
-    summary entries are the shard's record-delimiter count and its
-    rel/abs column offset (absolute = field delimiters after the last
-    record delimiter; relative = all field delimiters), and ``obs``
-    carries the worker's spans/metrics when observing.  With
-    ``minimize`` the sweep runs in canonical state space (and
-    ``start_states`` arrive canonical, from phase 1's canonical
-    vectors); the returned ``final_state`` is mapped back to the source
-    automaton, which is what validation speaks.
+    Returns ``(data_mask, delim_positions, delim_is_record,
+    tail_content, final_state, invalid_position, obs)`` — see
+    :func:`~repro.core.tagging.classify`; positions are *local*
+    (relative to the shard start) and ``obs`` carries the worker's
+    spans/metrics when observing.  With ``minimize`` the sweep runs in
+    canonical state space (and ``start_states`` arrive canonical, from
+    phase 1's canonical vectors); the returned ``final_state`` is mapped
+    back to the source automaton, which is what validation speaks.
     """
     raw, handle = _open_shard(shard)
     try:
@@ -256,23 +249,11 @@ def _shard_tags(shard, dfa: Dfa, chunk_size: int,
                                       chunking)
             if canon is not None:
                 final_state = int(canon.state_rep[final_state])
-            if TaggingImpl(impl_value) is TaggingImpl.CHUNKED:
-                tags = tag_chunked(emissions, final_state, chunking)
-            else:
-                tags = tag_global(emissions, final_state)
-            delim_positions = np.flatnonzero(tags.record_delim)
-            if delim_positions.size:
-                offset_kind = True
-                offset_value = int(
-                    tags.field_delim[delim_positions[-1] + 1:].sum())
-            else:
-                offset_kind = False
-                offset_value = int(tags.field_delim.sum())
+            data_mask, delim_positions, delim_is_record, tail_content = \
+                classify(emissions)
         obs = _pack_obs(tracer, metrics, "tags", start, int(raw.size))
-        return (emissions, _compact_ids(tags.record_ids),
-                _compact_ids(tags.column_ids), final_state,
-                invalid_position, int(delim_positions.size), offset_kind,
-                offset_value, obs)
+        return (data_mask, delim_positions, delim_is_record, tail_content,
+                final_state, invalid_position, obs)
     finally:
         _close_shard(handle)
 
@@ -379,8 +360,7 @@ class ShardedExecutor(Executor):
                                 run_dfa.with_padding_group(),
                                 options.kernel_table_budget)
         bounds = self._shard_bounds(int(raw.size), options.chunk_size)
-        mapper = self._mapper(len(bounds))
-        pooled = self.use_processes and self.workers > 1 and len(bounds) > 1
+        pooled = self._pooled(len(bounds))
         shm, shards = self._ship_input(raw, bounds, pooled)
         # Bytes each phase pickles through the pool pipe: the whole
         # shard under the fallback, a ~100 B descriptor under shm, and
@@ -403,13 +383,11 @@ class ShardedExecutor(Executor):
             phase_start = time.perf_counter()
             with tracer.span("sharded:contexts", shards=len(bounds)):
                 with ctx.timer.step("parse"):
-                    contexts = list(mapper(_shard_contexts, shards,
-                                           repeat(ctx.dfa),
-                                           repeat(options.chunk_size),
-                                           repeat(stride),
-                                           repeat(minimize),
-                                           range(len(bounds)),
-                                           repeat(observe)))
+                    contexts = self._map_shards(
+                        "contexts", _shard_contexts, shards,
+                        repeat(ctx.dfa), repeat(options.chunk_size),
+                        repeat(stride), repeat(minimize),
+                        range(len(bounds)), repeat(observe))
             if metrics.enabled:
                 # Mirror the serial pipeline's stage.*.seconds histograms
                 # so dashboards and the planner's calibration see the
@@ -449,25 +427,18 @@ class ShardedExecutor(Executor):
             phase_start = time.perf_counter()
             with tracer.span("sharded:tags", shards=len(bounds)):
                 with ctx.timer.step("tag"):
-                    shard_tags = list(mapper(
-                        _shard_tags, shards,
-                        repeat(ctx.dfa),
-                        repeat(options.chunk_size),
-                        start_states,
-                        repeat(options.tagging_impl.value),
-                        repeat(stride),
-                        repeat(minimize),
-                        range(len(bounds)),
-                        repeat(observe)))
-                    tags, invalid_position = self._merge_tags(
-                        bounds, shard_tags,
-                        run_structured=options.tagging_impl
-                        is TaggingImpl.GLOBAL)
+                    shard_tags = self._map_shards(
+                        "tags", _shard_tags, shards,
+                        repeat(ctx.dfa), repeat(options.chunk_size),
+                        start_states, repeat(stride), repeat(minimize),
+                        range(len(bounds)), repeat(observe))
+                    tags, invalid_position = self._merge_tags(bounds,
+                                                              shard_tags)
             if metrics.enabled:
                 metrics.observe("stage.tag.seconds",
                                 time.perf_counter() - phase_start)
             for entry in shard_tags:
-                self._ingest_obs(tracer, metrics, entry[8])
+                self._ingest_obs(tracer, metrics, entry[6])
             if metrics.enabled:
                 metrics.count("sharded.input.bytes.shipped",
                               shipped_per_phase)
@@ -476,8 +447,11 @@ class ShardedExecutor(Executor):
                 shm.close()
                 shm.unlink()
 
-        return TaggedInput(raw=raw, input_bytes=payload.input_bytes,
-                           tags=tags, invalid_position=invalid_position)
+        tagged = TaggedInput(raw=raw, input_bytes=payload.input_bytes,
+                             tags=tags, invalid_position=invalid_position)
+        if metrics.enabled:
+            metrics.gauge("stage.tag.bytes", new_array_bytes(payload, tagged))
+        return tagged
 
     def _ship_input(self, raw: np.ndarray, bounds, pooled: bool):
         """How shard bytes reach the workers: ``(shm, shard payloads)``.
@@ -514,59 +488,31 @@ class ShardedExecutor(Executor):
         metrics.merge_dict(metric_snapshot)
 
     @staticmethod
-    def _merge_tags(bounds, shard_tags, run_structured: bool = True):
-        """Stitch per-shard tag results into one global TagResult.
+    def _merge_tags(bounds, shard_tags):
+        """Stitch per-shard classifications into one global TagResult.
 
-        Record ids shift by the exclusive sum of per-shard record counts;
-        column ids of each shard's *head* segment (positions before its
-        first record delimiter, whose record started in an earlier shard)
-        gain the shard's entering column offset from the rel/abs scan.
-        Everything after a shard's first record delimiter is already
-        globally correct — the §3.2 argument, verbatim.
-
-        ``run_structured`` mirrors the serial schedule's tagging
-        implementation: when the workers ran :func:`tag_global` the
-        merged result carries the per-delimiter position array, so the
-        parent's partition stage resolves the auto strategy exactly as a
-        serial parse would (field-run); the paper-faithful chunked
-        implementation leaves it out (radix fallback).
+        Shard-local delimiter positions shift by the shard offsets and
+        concatenate; the fields are then derived exactly as the serial
+        tagger derives them.  A record continues across a shard boundary
+        with no special case: its fields simply lie in several shards.
+        Record content after the last record delimiter (the trailing
+        record) is the tail flag of the last shard holding a record
+        delimiter, or'ed with the content of every shard after it.
         """
-        record_counts = np.array([t[5] for t in shard_tags],
-                                 dtype=np.int64)
-        record_offsets = exclusive_sum(record_counts)
-        kinds = np.array([t[6] for t in shard_tags], dtype=bool)
-        values = np.array([t[7] for t in shard_tags], dtype=np.int64)
-        _, entering_columns = scan_column_offsets(kinds, values,
-                                                  exclusive=True)
-
-        emission_parts = []
-        record_parts = []
-        column_parts = []
+        masks, positions, flags = [], [], []
+        trailing = False
         invalid_position = None
-        for i, (lo, _hi) in enumerate(bounds):
-            (emissions, local_rec, local_col, _final, invalid,
-             _count, _kind, _value) = shard_tags[i][:8]
-            emission_parts.append(emissions)
-            rec = local_rec.astype(np.int64)
-            rec += record_offsets[i]
-            col = local_col.astype(np.int64)
-            if entering_columns[i]:
-                col[local_rec == 0] += entering_columns[i]
-            record_parts.append(rec)
-            column_parts.append(col)
+        for (lo, _hi), entry in zip(bounds, shard_tags):
+            data_mask, local, is_record, tail, _final, invalid, _ = entry
+            masks.append(data_mask)
+            positions.append(local + lo)
+            flags.append(is_record)
+            trailing = tail if is_record.any() else (trailing or tail)
             if invalid_position is None and invalid is not None:
                 invalid_position = lo + invalid
-
-        emissions = np.concatenate(emission_parts) if emission_parts \
-            else np.empty(0, dtype=np.uint8)
-        record_ids = np.concatenate(record_parts) if record_parts \
-            else np.empty(0, dtype=np.int64)
-        column_ids = np.concatenate(column_parts) if column_parts \
-            else np.empty(0, dtype=np.int64)
-        final_state = int(shard_tags[-1][3])
-        tags = build_tag_result(emissions, record_ids, column_ids,
-                                final_state,
-                                run_structured=run_structured)
+        final_state = int(shard_tags[-1][4])
+        tags = tag_fields(np.concatenate(masks), np.concatenate(positions),
+                          np.concatenate(flags), final_state, trailing)
         return tags, invalid_position
 
     # -- scheduling --------------------------------------------------------
@@ -586,12 +532,42 @@ class ShardedExecutor(Executor):
         return [(i * size, min(n, (i + 1) * size))
                 for i in range(num_shards)]
 
-    def _mapper(self, num_shards: int):
-        """An ordered ``map`` over shards: the pool's, or the builtin."""
-        if not self.use_processes or self.workers == 1 or num_shards <= 1:
-            return lambda fn, *iters: list(map(fn, *iters))
+    def _pooled(self, num_shards: int) -> bool:
+        """Whether shard tasks run on the process pool."""
+        return self.use_processes and self.workers > 1 and num_shards > 1
+
+    def _map_shards(self, phase: str, fn, shards, *iters) -> list:
+        """Run ``fn`` over the shards in order: on the pool, or inline.
+
+        A pool whose worker died (SIGKILL, the OOM killer) is broken for
+        good; it is discarded here so the next parse starts a fresh one,
+        and the loss surfaces as a typed :class:`ExecutorError` naming
+        the phase and the first shard whose result was lost.
+        """
+        if not self._pooled(len(shards)):
+            return list(map(fn, shards, *iters))
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers, mp_context=_pool_context())
-            return self._pool.map
+            pool = self._pool
+        results: list = []
+        try:
+            for result in pool.map(fn, shards, *iters):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            self._discard_pool(pool)
+            raise ExecutorError(
+                f"a pool worker died during the {phase} phase (shard "
+                f"{len(results)} of {len(shards)}); the pool was "
+                f"discarded and the next parse starts a fresh one",
+                phase=phase, shard=len(results)) from exc
+        return results
+
+    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Forget a broken pool (unless another thread already replaced
+        it) and release what is left of it."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)

@@ -237,7 +237,7 @@ class StreamingParser:
                                                              until="tag")
         else:
             tagged = self._executor.execute(ctx, payload, until="tag")
-        boundaries = np.flatnonzero(tagged.tags.record_delim)
+        boundaries = tagged.tags.record_positions()
         if boundaries.size == 0:
             return 0
         return int(boundaries[-1]) + 1

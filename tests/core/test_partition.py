@@ -1,14 +1,16 @@
-"""Tests for the stable radix-sort partition (§3.3)."""
+"""Tests for the column partition (§3.3): the radix-sort oracle and the
+field partition, which must match it bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.partition import (partition_by_column,
-                                  partition_field_runs,
-                                  stable_radix_sort)
+from repro.core.partition import (PartitionResult, partition_by_column,
+                                  partition_fields, stable_radix_sort)
+from repro.core.tagging import expand_symbol_tags, tag_fields
 from repro.errors import ParseError
+from repro.utils.rle import run_length_encode
 
 
 class TestStableRadixSort:
@@ -77,7 +79,10 @@ class TestPartitionByColumn:
         assert part.column_css(0).tobytes() == b"19411938"
         assert part.column_css(1).tobytes() == b"199.9919.99"
         assert part.column_offsets.tolist() == [0, 8, 19]
-        assert part.column_record_tags(0).tolist() == [0] * 4 + [1] * 4
+        records, offsets, lengths = part.column_fields(0)
+        assert records.tolist() == [0, 1]
+        assert offsets.tolist() == [0, 4]
+        assert lengths.tolist() == [4, 4]
 
     def test_order_gathers_payload(self):
         data = np.frombuffer(b"ba", dtype=np.uint8)
@@ -123,27 +128,66 @@ class TestPartitionByColumn:
         for c in range(6):
             expected = payload[keep & (columns == c)]
             assert part.column_css(c).tolist() == expected.tolist()
-            expected_tags = records[keep & (columns == c)]
-            assert part.column_record_tags(c).tolist() \
-                == expected_tags.tolist()
+            # Each run of one record's symbols is a field (Figure 5).
+            run_records, run_lengths = run_length_encode(
+                records[keep & (columns == c)])
+            field_records, _, field_lengths = part.column_fields(c)
+            assert field_records.tolist() == run_records.tolist()
+            assert field_lengths.tolist() == run_lengths.tolist()
 
 
-def _runsy(data, n, num_cols):
-    """Draw run-structured (column, record) tag arrays of length n."""
-    col = np.empty(n, dtype=np.int64)
-    rec = np.empty(n, dtype=np.int64)
-    pos = 0
-    record = 0
-    while pos < n:
-        length = data.draw(st.integers(1, 12))
-        column = data.draw(st.integers(0, num_cols - 1))
-        end = min(n, pos + length)
-        col[pos:end] = column
-        rec[pos:end] = record
-        if data.draw(st.booleans()):
-            record += 1
-        pos = end
-    return col, rec
+def draw_fields(data, max_bytes=150):
+    """Draw an input in field form: bytes, data bitmap, delimiters with
+    record flags, and a keep flag per field."""
+    n = data.draw(st.integers(0, max_bytes))
+    payload = data.draw(hnp.arrays(np.uint8, n))
+    delims = np.array(sorted(data.draw(st.sets(
+        st.integers(0, max(0, n - 1)), max_size=min(n, 30)))),
+        dtype=np.int64)
+    is_record = np.array([data.draw(st.booleans()) for _ in delims],
+                         dtype=bool)
+    # Delimiters are never data; other bytes are data or set aside
+    # (quotes, escapes, comments).
+    data_mask = data.draw(hnp.arrays(np.bool_, n)) if data.draw(
+        st.booleans()) else np.ones(n, dtype=bool)
+    data_mask[delims] = False
+    keep = data.draw(hnp.arrays(np.bool_, delims.size + 1))
+    return payload, data_mask, delims, is_record, keep
+
+
+def radix_oracle(payload, data_mask, delims, is_record, keep, num_columns,
+                 terminated, end_byte=10, radix_bits=2):
+    """The partition through expanded per-symbol tags and the radix sort."""
+    tags = tag_fields(data_mask, delims, is_record, 0, True)
+    virtual = terminated and bool(keep[-1])
+    symbols = expand_symbol_tags(tags, virtual_delimiter=virtual)
+    if virtual:
+        payload = np.append(payload, np.uint8(end_byte))
+        data_mask = np.append(data_mask, False)
+    delim = symbols.record_delim | symbols.field_delim
+    field_of = np.searchsorted(delims, np.arange(payload.size))
+    kept = keep[field_of] & (data_mask | (delim & terminated))
+    return partition_by_column(payload, kept, symbols.column_ids,
+                               symbols.record_ids, num_columns,
+                               radix_bits=radix_bits,
+                               terminators=delim if terminated else None)
+
+
+def field_partition(payload, data_mask, delims, is_record, keep,
+                    num_columns, terminated, end_byte=10):
+    tags = tag_fields(data_mask, delims, is_record, 0, True)
+    return partition_fields(payload, data_mask, delims, tags.field_columns,
+                            tags.field_records, keep, num_columns,
+                            terminated=terminated, end_byte=end_byte)
+
+
+def assert_parts_identical(a, b):
+    assert a.css.tolist() == b.css.tolist()
+    assert a.column_offsets.tolist() == b.column_offsets.tolist()
+    assert a.terminated == b.terminated
+    for column in range(a.num_columns):
+        for x, y in zip(a.column_fields(column), b.column_fields(column)):
+            assert x.tolist() == y.tolist()
 
 
 class TestStableCountingSort:
@@ -160,131 +204,149 @@ class TestStableCountingSort:
 
 
 class TestPartitionFieldRuns:
-    """The O(n + num_fields) strategy must match the radix sort bit for
-    bit — including the stable ``order`` permutation."""
+    """The field partition (the field-run strategy) must match the radix
+    oracle over the expanded per-symbol tags bit for bit: CSS, column
+    offsets and per-column field index."""
 
     @given(st.data())
-    @settings(max_examples=80)
+    @settings(max_examples=120)
     def test_parity_with_radix_arbitrary_tags(self, data):
-        n = data.draw(st.integers(0, 150))
-        num_cols = data.draw(st.integers(1, 6))
-        payload = data.draw(hnp.arrays(np.uint8, n))
-        columns = data.draw(hnp.arrays(
-            np.int64, n, elements=st.integers(0, num_cols - 1)))
-        records = data.draw(hnp.arrays(np.int64, n,
-                                       elements=st.integers(0, 8)))
-        keep = data.draw(hnp.arrays(np.bool_, n))
-        a = partition_by_column(payload, keep, columns, records, num_cols)
-        b = partition_field_runs(payload, keep, columns, records,
-                                 num_cols)
-        assert a.css.tolist() == b.css.tolist()
-        assert a.record_tags.tolist() == b.record_tags.tolist()
-        assert a.column_offsets.tolist() == b.column_offsets.tolist()
-        assert a.order.tolist() == b.order.tolist()
+        fields = draw_fields(data)
+        tags = tag_fields(fields[1], fields[2], fields[3], 0, True)
+        num_columns = int(tags.field_columns.max()) + 1 \
+            + data.draw(st.integers(0, 2))
+        terminated = data.draw(st.booleans())
+        assert_parts_identical(
+            radix_oracle(*fields, num_columns, terminated),
+            field_partition(*fields, num_columns, terminated))
 
     @given(st.data(), st.sampled_from([1, 2, 4, 8]))
     @settings(max_examples=60)
     def test_parity_across_radix_bits(self, data, radix_bits):
-        n = data.draw(st.integers(0, 120))
-        num_cols = data.draw(st.integers(1, 5))
-        payload = data.draw(hnp.arrays(np.uint8, n))
-        columns, records = _runsy(data, n, num_cols)
-        keep = data.draw(hnp.arrays(np.bool_, n))
-        a = partition_by_column(payload, keep, columns, records,
-                                num_cols, radix_bits=radix_bits)
-        b = partition_field_runs(payload, keep, columns, records,
-                                 num_cols)
-        assert a.css.tolist() == b.css.tolist()
-        assert a.record_tags.tolist() == b.record_tags.tolist()
-        assert a.column_offsets.tolist() == b.column_offsets.tolist()
-        assert a.order.tolist() == b.order.tolist()
+        fields = draw_fields(data, max_bytes=120)
+        tags = tag_fields(fields[1], fields[2], fields[3], 0, True)
+        num_columns = int(tags.field_columns.max()) + 1
+        terminated = data.draw(st.booleans())
+        assert_parts_identical(
+            radix_oracle(*fields, num_columns, terminated,
+                         radix_bits=radix_bits),
+            field_partition(*fields, num_columns, terminated))
 
     @given(st.data())
     @settings(max_examples=60)
-    def test_delim_positions_path_matches_fallback(self, data):
-        """Explicit segment boundaries must give the same result as
-        boundary detection, provided tags are constant per segment."""
-        n = data.draw(st.integers(1, 120))
-        num_cols = data.draw(st.integers(1, 5))
-        payload = data.draw(hnp.arrays(np.uint8, n))
-        # Build segments from sorted delimiter positions; tags constant
-        # on (prev_delim, this_delim] exactly as the tagger guarantees.
-        delims = np.array(sorted(data.draw(st.sets(
-            st.integers(0, n - 1), max_size=12))), dtype=np.int64)
-        seg_starts = np.concatenate([[0], delims + 1])
-        col = np.empty(n, dtype=np.int64)
-        rec = np.empty(n, dtype=np.int64)
-        for i, s in enumerate(seg_starts):
-            e = n if i + 1 == seg_starts.size else seg_starts[i + 1]
-            col[s:e] = data.draw(st.integers(0, num_cols - 1))
-            rec[s:e] = i
-        keep = data.draw(hnp.arrays(np.bool_, n))
-        a = partition_field_runs(payload, keep, col, rec, num_cols)
-        b = partition_field_runs(payload, keep, col, rec, num_cols,
-                                 delim_positions=delims)
-        assert a.css.tolist() == b.css.tolist()
-        assert a.record_tags.tolist() == b.record_tags.tolist()
-        assert a.column_offsets.tolist() == b.column_offsets.tolist()
-        assert a.order.tolist() == b.order.tolist()
+    def test_set_aside_path_matches_clean_stream(self, data):
+        """Set-aside (control) symbols inside fields change nothing but
+        the positions: the partition equals the one over the input with
+        them removed, where the stream is the input itself."""
+        payload, _, delims, is_record, keep = draw_fields(data)
+        n = payload.size
+        aside = data.draw(hnp.arrays(np.bool_, n))
+        aside[delims] = False
+        clean_positions = np.flatnonzero(~aside)
+        clean_delims = np.searchsorted(clean_positions, delims)
+        terminated = data.draw(st.booleans())
+        data_mask = ~aside
+        data_mask[delims] = False
+        tags = tag_fields(data_mask, delims, is_record, 0, True)
+        num_columns = int(tags.field_columns.max()) + 1
+        with_aside = field_partition(payload, data_mask, delims, is_record,
+                                     keep, num_columns, terminated)
+        clean_mask = np.ones(clean_positions.size, dtype=bool)
+        clean_mask[clean_delims] = False
+        clean = field_partition(payload[clean_positions], clean_mask,
+                                clean_delims, is_record, keep, num_columns,
+                                terminated)
+        assert_parts_identical(with_aside, clean)
 
     def test_empty_input(self):
-        part = partition_field_runs(
+        part = partition_fields(
             np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 3)
+            np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), 3)
         assert part.css.size == 0
-        assert part.order.size == 0
+        assert part.num_fields == 0
+        assert part.order is None
         assert part.column_offsets.tolist() == [0, 0, 0, 0]
+        assert part.field_bounds.tolist() == [0, 0, 0, 0]
 
     def test_single_column(self):
-        data = np.frombuffer(b"abcdef", dtype=np.uint8)
-        keep = np.array([True, False, True, True, True, False])
-        part = partition_field_runs(data, keep,
-                                    np.zeros(6, dtype=np.int64),
-                                    np.array([0, 0, 1, 1, 2, 2]), 1)
-        assert part.css.tobytes() == b"acde"
-        assert part.order.tolist() == [0, 2, 3, 4]
-        assert part.record_tags.tolist() == [0, 1, 1, 2]
-        assert part.num_field_runs is not None
+        # Records "ab", "" (empty), "cd", "e" in one column; the second
+        # "cd" byte is a set-aside quote.
+        data = np.frombuffer(b'ab\n\nc"d\ne', dtype=np.uint8)
+        data_mask = np.array([1, 1, 0, 0, 1, 0, 1, 0, 1], dtype=bool)
+        delims = np.array([2, 3, 7])
+        is_record = np.ones(3, dtype=bool)
+        keep = np.ones(4, dtype=bool)
+        part = field_partition(data, data_mask, delims, is_record, keep, 1,
+                               terminated=False)
+        assert part.css.tobytes() == b"abcde"
+        records, offsets, lengths = part.column_fields(0)
+        assert records.tolist() == [0, 2, 3]
+        assert offsets.tolist() == [0, 2, 4]
+        assert lengths.tolist() == [2, 2, 1]
+        terminated = field_partition(data, data_mask, delims, is_record,
+                                     keep, 1, terminated=True,
+                                     end_byte=ord("\n"))
+        assert terminated.css.tobytes() == b"ab\n\ncd\ne\n"
+        assert terminated.column_fields(0)[2].tolist() == [2, 0, 2, 1]
 
     def test_all_one_record(self):
         data = np.frombuffer(b"1,2,3", dtype=np.uint8)
-        col = np.array([0, 0, 1, 1, 2])
-        rec = np.zeros(5, dtype=np.int64)
-        keep = np.array([True, False, True, False, True])
-        a = partition_by_column(data, keep, col, rec, 3)
-        b = partition_field_runs(data, keep, col, rec, 3)
-        assert b.css.tobytes() == b"123"
-        assert a.order.tolist() == b.order.tolist()
+        data_mask = np.array([1, 0, 1, 0, 1], dtype=bool)
+        delims = np.array([1, 3])
+        is_record = np.zeros(2, dtype=bool)
+        keep = np.ones(3, dtype=bool)
+        for terminated in (False, True):
+            a = radix_oracle(data, data_mask, delims, is_record, keep, 3,
+                             terminated)
+            b = field_partition(data, data_mask, delims, is_record, keep,
+                                3, terminated)
+            assert_parts_identical(a, b)
+        assert b.css.tobytes() == b"1,2,3\n"
+        assert field_partition(data, data_mask, delims, is_record, keep,
+                               3, False).css.tobytes() == b"123"
 
     def test_rejects_negative_tags(self):
         with pytest.raises(ParseError):
-            partition_field_runs(np.zeros(2, dtype=np.uint8),
-                                 np.ones(2, dtype=bool),
-                                 np.array([-1, 0]),
-                                 np.zeros(2, dtype=np.int64), 2)
+            partition_fields(np.zeros(2, dtype=np.uint8),
+                             np.ones(2, dtype=bool),
+                             np.zeros(0, dtype=np.int64),
+                             np.array([-1]), np.zeros(1, dtype=np.int64),
+                             np.ones(1, dtype=bool), 2)
 
     def test_rejects_overflowing_tags(self):
         with pytest.raises(ParseError):
-            partition_field_runs(np.zeros(2, dtype=np.uint8),
-                                 np.ones(2, dtype=bool),
-                                 np.array([0, 7]),
-                                 np.zeros(2, dtype=np.int64), 2)
+            partition_fields(np.zeros(3, dtype=np.uint8),
+                             np.array([True, False, True]),
+                             np.array([1]), np.array([0, 7]),
+                             np.zeros(2, dtype=np.int64),
+                             np.ones(2, dtype=bool), 2)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ParseError):
-            partition_field_runs(np.zeros(2, dtype=np.uint8),
-                                 np.ones(3, dtype=bool),
-                                 np.zeros(2, dtype=np.int64),
-                                 np.zeros(2, dtype=np.int64), 1)
+            partition_fields(np.zeros(2, dtype=np.uint8),
+                             np.ones(3, dtype=bool),
+                             np.zeros(0, dtype=np.int64),
+                             np.zeros(1, dtype=np.int64),
+                             np.zeros(1, dtype=np.int64),
+                             np.ones(1, dtype=bool), 1)
+        with pytest.raises(ParseError):
+            partition_fields(np.zeros(2, dtype=np.uint8),
+                             np.ones(2, dtype=bool),
+                             np.array([1]),
+                             np.zeros(1, dtype=np.int64),
+                             np.zeros(2, dtype=np.int64),
+                             np.ones(2, dtype=bool), 1)
 
 
 class TestPartitionResultDefaults:
     def test_order_defaults_to_none(self):
-        from repro.core.partition import PartitionResult
+        empty = np.zeros(0, dtype=np.int64)
         part = PartitionResult(
             css=np.zeros(0, dtype=np.uint8),
-            record_tags=np.zeros(0, dtype=np.int64),
             column_offsets=np.zeros(1, dtype=np.int64),
-            num_columns=0)
+            num_columns=0, field_records=empty, field_starts=empty,
+            field_lengths=empty, field_bounds=np.zeros(1, dtype=np.int64))
         assert part.order is None
-        assert part.num_field_runs is None
+        assert not part.terminated
+        assert part.num_fields == 0

@@ -1,10 +1,11 @@
-"""Strategy parity: field-run partitioning is bit-identical to radix.
+"""Strategy parity: the field partition is bit-identical to radix.
 
-The field-run strategy's acceptance bar (ISSUE 5): for every dialect,
-tagging mode, input and executor schedule, ``partition_field_runs``
-produces exactly the ``PartitionResult`` the stable radix sort produces —
-same ``css``, ``record_tags``, ``column_offsets`` and stable ``order``
-permutation (``num_field_runs`` is diagnostic metadata and excluded).
+For every dialect, tagging mode, input and executor schedule, the field
+partition (``partition_strategy="field-run"``, the default) produces
+exactly the partition the stable radix-sort oracle produces over the
+expanded per-symbol tags — same ``css``, ``column_offsets`` and
+per-column ``(records, offsets, lengths)`` field index — and the same
+final table.
 """
 
 import numpy as np
@@ -46,10 +47,21 @@ def partition_result(data: bytes, options: ParseOptions, executor=None):
 
 def assert_parts_identical(a, b):
     np.testing.assert_array_equal(a.css, b.css)
-    np.testing.assert_array_equal(a.record_tags, b.record_tags)
     np.testing.assert_array_equal(a.column_offsets, b.column_offsets)
-    np.testing.assert_array_equal(a.order, b.order)
     assert a.num_columns == b.num_columns
+    assert a.terminated == b.terminated
+    for column in range(a.num_columns):
+        for x, y in zip(a.column_fields(column), b.column_fields(column)):
+            np.testing.assert_array_equal(x, y)
+
+
+def assert_tables_identical(data: bytes, a: ParseOptions, b: ParseOptions,
+                            executor=None):
+    expected = ParPaRawParser(a).parse(data)
+    with executor or SerialExecutor() as ex:
+        got = ParPaRawParser(b, executor=ex).parse(data)
+    assert got.table.to_pylist() == expected.table.to_pylist()
+    assert got.num_rows == expected.num_rows
 
 
 class TestStrategyParity:
@@ -81,11 +93,43 @@ class TestStrategyParity:
                 data, ParseOptions(partition_strategy=None, **base))
             assert_parts_identical(radix, field_run)
             assert_parts_identical(radix, auto)
+            assert_tables_identical(
+                data,
+                ParseOptions(partition_strategy=PartitionStrategy.RADIX,
+                             **base),
+                ParseOptions(**base))
+
+    @pytest.mark.parametrize(
+        "dialect", DIALECTS,
+        ids=[f"dialect{i}" for i in range(len(DIALECTS))])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_dialects_and_modes_sharded(self, dialect, mode):
+        """Sharded field partitions equal the serial radix oracle's."""
+        def executor():
+            return ShardedExecutor(workers=2, shard_bytes=16,
+                                   use_processes=False)
+
+        for data in TRICKY_INPUTS:
+            base = dict(dialect=dialect, tagging_mode=mode, chunk_size=8)
+            radix = ParseOptions(partition_strategy=PartitionStrategy.RADIX,
+                                 **base)
+            try:
+                oracle = partition_result(data, radix)
+            except ParseError:
+                with pytest.raises(ParseError):
+                    partition_result(data, ParseOptions(**base),
+                                     executor=executor())
+                continue
+            sharded = partition_result(data, ParseOptions(**base),
+                                       executor=executor())
+            assert_parts_identical(oracle, sharded)
+            assert_tables_identical(data, radix, ParseOptions(**base),
+                                    executor())
 
     def test_chunked_tagging_impl(self):
-        """The paper-faithful chunked tagger carries no delimiter
-        positions: an explicit field-run request is rejected up front
-        with an actionable error, and auto resolves to radix with
+        """The paper-faithful chunked tagger pairs with the GPU-faithful
+        radix partition: an explicit field-run request is rejected up
+        front with an actionable error, and auto resolves to radix with
         bit-identical partitions."""
         base = dict(dialect=Dialect(strip_carriage_return=False),
                     tagging_impl=TaggingImpl.CHUNKED, chunk_size=8)
@@ -135,20 +179,19 @@ class TestStrategyParity:
 
 class TestStrategyResolution:
     def test_auto_prefers_field_run_with_positions(self):
-        options = ParseOptions()
-        strategy = PartitionStage.resolve_strategy(
-            options, np.array([3, 7], dtype=np.int64))
+        """The production tagger: auto resolves to the field partition."""
+        strategy = PartitionStage.resolve_strategy(ParseOptions())
         assert strategy is PartitionStrategy.FIELD_RUN
 
     def test_auto_falls_back_to_radix_without_positions(self):
-        options = ParseOptions()
-        assert PartitionStage.resolve_strategy(options, None) \
+        """The paper-faithful chunked tagger: auto resolves to radix."""
+        options = ParseOptions(tagging_impl=TaggingImpl.CHUNKED)
+        assert PartitionStage.resolve_strategy(options) \
             is PartitionStrategy.RADIX
 
     def test_explicit_choice_wins(self):
         options = ParseOptions(partition_strategy=PartitionStrategy.RADIX)
-        assert PartitionStage.resolve_strategy(
-            options, np.array([1], dtype=np.int64)) \
+        assert PartitionStage.resolve_strategy(options) \
             is PartitionStrategy.RADIX
 
     def test_options_coerce_strings(self):

@@ -89,14 +89,15 @@ class TestPartialExecution:
         payload = default_pipeline().run(ctx, raw_payload(DATA),
                                          until="tag")
         assert isinstance(payload, TaggedInput)
-        # Independent oracle: global tagging over the serial emissions.
-        full = default_pipeline().run(make_ctx(ParseOptions(chunk_size=5)),
-                                      raw_payload(DATA), until="tag")
-        oracle = tag_global(full.tags.emissions, full.tags.final_state)
-        np.testing.assert_array_equal(payload.tags.record_ids,
-                                      oracle.record_ids)
-        np.testing.assert_array_equal(payload.tags.column_ids,
-                                      oracle.column_ids)
+        # Independent oracle: global tagging over the sequential
+        # automaton's emissions.
+        final, emissions = ParseOptions().resolved_dfa().simulate(DATA)
+        oracle = tag_global(np.array(emissions, dtype=np.uint8), final)
+        for name in ("data_mask", "delim_positions", "delim_is_record",
+                     "field_records", "field_columns"):
+            np.testing.assert_array_equal(getattr(payload.tags, name),
+                                          getattr(oracle, name))
+        assert payload.tags.final_state == oracle.final_state
 
     def test_resume_from_validate(self):
         ctx = make_ctx()

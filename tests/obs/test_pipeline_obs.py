@@ -56,6 +56,26 @@ class TestSerialObservability:
         for stage in ("chunk", "tag", "convert"):
             assert histograms[f"stage.{stage}.seconds"]["count"] == 1
 
+    def test_stage_bytes_gauges(self):
+        """Each stage gauges the new array bytes of its output payload:
+        tag holds the data bitmap (one byte per input byte) plus
+        per-field words; partition holds the CSS plus the field index."""
+        result, _, metrics = parse_with_obs()
+        for stage in ("chunk", "stv", "scan", "tag", "validate",
+                      "partition", "convert"):
+            assert f"stage.{stage}.bytes" in metrics.gauges
+        assert metrics.gauges["stage.tag.bytes"] >= len(DATA)
+        assert metrics.gauges["stage.partition.bytes"] \
+            > metrics.gauges["stage.validate.bytes"]
+        # Far below the 16 bytes per input byte of per-symbol int64 ids.
+        assert metrics.gauges["stage.tag.bytes"] < 8 * len(DATA)
+
+    def test_sharded_tag_bytes_gauge(self):
+        _, _, metrics = parse_with_obs(ShardedExecutor(
+            workers=2, shard_bytes=500, use_processes=False))
+        assert metrics.gauges["stage.tag.bytes"] >= len(DATA)
+        assert "stage.partition.bytes" in metrics.gauges
+
     def test_disabled_by_default(self):
         parser = ParPaRawParser(ParseOptions())
         result = parser.parse(DATA)
