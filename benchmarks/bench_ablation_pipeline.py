@@ -1,8 +1,10 @@
 """Ablations over the design choices DESIGN.md calls out.
 
-* GLOBAL vs CHUNKED tagging implementation (vectorised cumulative sums vs
-  the paper's per-chunk offsets + scans);
-* vectorised vs scalar type conversion;
+* ``tag_global`` vs ``tag_chunked`` on the same emission stream
+  (vectorised delimiter bookkeeping vs the paper's per-chunk offsets +
+  scans, the test oracle);
+* the vectorised convert stage vs the scalar converters (the oracle the
+  sequential reference parser converts with) on the same partition;
 * radix-sort digit width;
 * scan algorithm choice (sequential / Hillis-Steele / Blelloch /
   decoupled look-back / vectorised).
@@ -13,22 +15,50 @@ import pytest
 
 from conftest import run_benchmark
 
-from repro import ParPaRawParser, ParseOptions, TaggingImpl
+from repro import ParseOptions
 from repro.core.partition import stable_radix_sort
+from repro.core.scalar_convert import convert_scalar
+from repro.core.stages import ConvertStage, PipelineContext, RawInput, \
+    default_pipeline
+from repro.core.tagging import compute_emissions, tag_chunked, tag_global
+from repro.core.tagging_modes import column_indexes
 from repro.scan.blelloch import blelloch_scan
 from repro.scan.decoupled_lookback import single_pass_scan
 from repro.scan.hillis_steele import hillis_steele_scan
 from repro.scan.numpy_scan import scan_transition_vectors
 from repro.scan.operators import SumMonoid, TransitionComposeMonoid
 from repro.scan.sequential import exclusive_scan
+from repro.utils.timing import StepTimer
 
 
-@pytest.mark.parametrize("impl", list(TaggingImpl))
-def test_tagging_impl(benchmark, yelp_1mb, yelp_schema, impl):
-    parser = ParPaRawParser(ParseOptions(schema=yelp_schema,
-                                         tagging_impl=impl))
-    result = run_benchmark(benchmark, parser.parse, yelp_1mb)
-    assert result.num_rows > 0
+def run_until(options: ParseOptions, data: bytes, until: str):
+    """``(ctx, payload)`` after running the pipeline through ``until``."""
+    ctx = PipelineContext(options=options, dfa=options.resolved_dfa(),
+                          timer=StepTimer())
+    raw = np.frombuffer(data, dtype=np.uint8)
+    return ctx, default_pipeline().run(
+        ctx, RawInput(raw=raw, input_bytes=raw.size), until=until)
+
+
+@pytest.mark.parametrize("impl", ["global", "chunked"])
+def test_tagging_impl(benchmark, yelp_1mb, impl):
+    _, contexts = run_until(ParseOptions(), yelp_1mb, "scan")
+    emissions, final_state, _ = compute_emissions(
+        contexts.groups, contexts.start_states, contexts.padded_dfa,
+        contexts.chunking)
+    taggers = {
+        "global": lambda: tag_global(emissions, final_state),
+        "chunked": lambda: tag_chunked(emissions, final_state,
+                                       contexts.chunking),
+    }
+    tags = run_benchmark(benchmark, taggers[impl])
+    assert tags.num_records > 0
+
+
+def convert_scalar_columns(columns) -> int:
+    """Scalar-convert every field; returns the reject count."""
+    return sum(not convert_scalar(field, text)[1]
+               for field, texts in columns for text in texts)
 
 
 @pytest.mark.parametrize("vectorized", [True, False],
@@ -37,10 +67,24 @@ def test_conversion_path(benchmark, taxi_1mb, taxi_schema, vectorized):
     # Scalar conversion is slow; keep the input small, cut at a record
     # boundary so no truncated field skews the reject counter.
     data = taxi_1mb[:taxi_1mb.rfind(b"\n", 0, 128 * 1024) + 1]
-    parser = ParPaRawParser(ParseOptions(
-        schema=taxi_schema, vectorized_conversion=vectorized))
-    result = run_benchmark(benchmark, parser.parse, data)
-    assert result.total_rejected_fields == 0
+    options = ParseOptions(schema=taxi_schema)
+    ctx, partitioned = run_until(options, data, "partition")
+    if vectorized:
+        output = run_benchmark(benchmark, ConvertStage().run, ctx,
+                               partitioned)
+        rejects = sum(column.rejects for column in output.table.columns)
+    else:
+        part = partitioned.part
+        columns = []
+        for column, index in enumerate(
+                column_indexes(options.tagging_mode, part)):
+            css = part.column_css(column)
+            columns.append((taxi_schema[column], [
+                css[lo:lo + n].tobytes()
+                for lo, n in zip(index.offsets.tolist(),
+                                 index.lengths.tolist()) if n]))
+        rejects = run_benchmark(benchmark, convert_scalar_columns, columns)
+    assert rejects == 0
 
 
 @pytest.mark.parametrize("radix_bits", [1, 2, 4, 8])

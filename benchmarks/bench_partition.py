@@ -1,29 +1,31 @@
-"""Partition-strategy sweep — field partition vs stable radix sort (§3.3).
+"""Partition sweep — field partition vs the stable radix-sort oracle (§3.3).
 
 PR 4's strided kernels left the partition stage as the pipeline's top
 serial-executor cost (BENCH_kernels.json: yelp 0.134 s, taxi 0.170 s at
 1 MB).  This sweep measures the field partition that replaced it on the
-fig13 workloads at the paper's default chunk size, two ways:
+fig13 workloads at the paper's default chunk size, against the paper's
+radix sort (now the test oracle), two ways, both over one validate-stage
+run so the two partition the exact same input:
 
-* **stage sweep** — the full partition stage through the parser timer
-  for each ``--partition-strategy`` (radix / field-run / auto), plus
-  end-to-end MB/s;
+* **stage sweep** — the partition stage's work on the validated payload:
+  ``PartitionStage.partition`` (the field partition, ``field-run``)
+  against ``partition_symbols`` (per-symbol tag expansion, keep mask and
+  radix sort, ``radix``);
 * **kernel sweep** — ``partition_by_column`` at radix_bits ∈ {1,2,4,8}
-  over the per-symbol tags expanded from one validate-stage run, against
-  ``partition_fields`` over that run's per-field tags, so the strategies
-  partition the exact same input.
+  over the per-symbol tags expanded from that run, against
+  ``partition_fields`` over its per-field tags.
 
 Two artefacts:
 
 * ``BENCH_partition.json`` at the repo root — machine-readable rows plus
   the PR 4 baseline stage seconds, backing the acceptance criterion
-  (auto strategy >= 3x faster than the PR 4 partition stage);
+  (field partition >= 3x faster than the baseline partition stage);
 * ``benchmarks/results/partition_strategy.txt`` — the human-readable
   sweep table.
 
-Timing discipline: best-of-N on the *partition stage timer* (stage
-sweep) and on ``perf_counter`` around the bare kernel (kernel sweep), so
-noise on the fixed stages cannot masquerade as a partition win.
+Timing discipline: best-of-N on ``perf_counter`` around the partition
+call alone, so noise on the other stages cannot masquerade as a
+partition win.
 Runnable standalone for the check.sh smoke:
 
     python benchmarks/bench_partition.py --bytes 131072 --repeats 2
@@ -37,9 +39,10 @@ import pathlib
 import sys
 import time
 
-from repro import Dialect, ParPaRawParser, ParseOptions, SerialExecutor
-from repro.core.partition import partition_by_column, partition_fields
-from repro.core.stages import PipelineContext, RawInput
+from repro import Dialect, ParseOptions, SerialExecutor
+from repro.core.partition import partition_by_column, partition_fields, \
+    partition_symbols
+from repro.core.stages import PartitionStage, PipelineContext, RawInput
 from repro.core.tagging import expand_symbol_tags
 from repro.dfa import dialect_dfa
 from repro.utils.timing import StepTimer
@@ -50,7 +53,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_partition.json"
 
 NO_CR = Dialect(strip_carriage_return=False)
-STRATEGIES: tuple[str, ...] = ("radix", "field-run", "auto")
+STRATEGIES: tuple[str, ...] = ("radix", "field-run")
 RADIX_BITS: tuple[int, ...] = (1, 2, 4, 8)
 
 #: PR 4 partition stage seconds at 1 MB (BENCH_kernels.json, auto
@@ -58,32 +61,8 @@ RADIX_BITS: tuple[int, ...] = (1, 2, 4, 8)
 PR4_BASELINE_SECONDS = {"yelp": 0.13362, "taxi": 0.169909}
 
 
-def time_strategy(data: bytes, strategy: str, repeats: int) -> dict:
-    """Best-of-``repeats`` stage seconds for one parser-level cell."""
-    options = ParseOptions(
-        dialect=NO_CR,
-        partition_strategy=None if strategy == "auto" else strategy)
-    parser = ParPaRawParser(options)
-    parser.parse(data)                              # warm-up
-    best: dict[str, float] | None = None
-    for _ in range(repeats):
-        totals = parser.parse(data).timer.totals()
-        if best is None or totals["partition"] < best["partition"]:
-            best = totals
-    assert best is not None
-    total = sum(best.values())
-    return {
-        "strategy": strategy,
-        "partition_seconds": round(best["partition"], 6),
-        "total_seconds": round(total, 6),
-        "mb_per_s": round(len(data) / MB / total, 2),
-    }
-
-
-def validate_stage_inputs(data: bytes) -> dict:
-    """Both strategies' inputs from one validate-stage run: per-field tags
-    and keep flags, and their per-symbol expansion (record-tagged mode,
-    so no virtual delimiter is needed)."""
+def validated_payload(data: bytes):
+    """One validate-stage run of ``data``: ``(options, payload)``."""
     import numpy as np
 
     options = ParseOptions(dialect=NO_CR)
@@ -94,7 +73,32 @@ def validate_stage_inputs(data: bytes) -> dict:
         payload = executor.execute(
             ctx, RawInput(raw=raw, input_bytes=raw.size),
             until="validate")
+    return options, payload
+
+
+def stage_sweep(options, payload, repeats: int) -> list[dict]:
+    """Best-of-``repeats`` partition seconds of each strategy."""
     tags = payload.tags
+    calls = {
+        "radix": lambda: partition_symbols(
+            payload.raw, tags, payload.valid_records, payload.column_mask,
+            payload.num_columns, options.tagging_mode,
+            options.dialect.record_delimiter_byte),
+        "field-run": lambda: PartitionStage.partition(options, payload),
+    }
+    return [{"strategy": strategy,
+             "partition_seconds": round(time_kernel(calls[strategy],
+                                                    repeats), 6)}
+            for strategy in STRATEGIES]
+
+
+def kernel_inputs(payload) -> dict:
+    """Both kernels' inputs from the validated payload: per-field tags
+    and keep flags, and their per-symbol expansion (record-tagged mode,
+    so no virtual delimiter is needed)."""
+    import numpy as np
+
+    tags, raw = payload.tags, payload.raw
     symbols = expand_symbol_tags(tags)
     spans = np.diff(np.concatenate([[0], tags.delim_positions + 1,
                                     [raw.size]]))
@@ -118,8 +122,8 @@ def time_kernel(func, repeats: int) -> float:
     return best
 
 
-def kernel_sweep(data: bytes, repeats: int) -> list[dict]:
-    inp = validate_stage_inputs(data)
+def kernel_sweep(payload, repeats: int) -> list[dict]:
+    inp = kernel_inputs(payload)
     rows = []
     for bits in RADIX_BITS:
         seconds = time_kernel(
@@ -137,12 +141,12 @@ def kernel_sweep(data: bytes, repeats: int) -> list[dict]:
 def sweep(workloads: dict[str, bytes], repeats: int) -> dict:
     stage_rows, kernel_rows = [], []
     for name, data in workloads.items():
-        for strategy in STRATEGIES:
-            row = time_strategy(data, strategy, repeats)
+        options, payload = validated_payload(data)
+        for row in stage_sweep(options, payload, repeats):
             row["workload"] = name
             row["input_bytes"] = len(data)
             stage_rows.append(row)
-        for row in kernel_sweep(data, repeats):
+        for row in kernel_sweep(payload, repeats):
             row["workload"] = name
             kernel_rows.append(row)
     return {"stage_rows": stage_rows, "kernel_rows": kernel_rows}
@@ -150,8 +154,7 @@ def sweep(workloads: dict[str, bytes], repeats: int) -> dict:
 
 def report_lines(result: dict, full_scale: bool) -> list[str]:
     lines = [f"{'workload':>10} {'strategy':>10} {'partition (ms)':>15} "
-             f"{'total (ms)':>11} {'MB/s':>8} {'vs radix':>9} "
-             f"{'vs PR4':>7}"]
+             f"{'vs radix':>9} {'vs base':>7}"]
     stage_rows = result["stage_rows"]
     for workload in dict.fromkeys(r["workload"] for r in stage_rows):
         group = [r for r in stage_rows if r["workload"] == workload]
@@ -164,8 +167,7 @@ def report_lines(result: dict, full_scale: bool) -> list[str]:
             lines.append(
                 f"{workload:>10} {r['strategy']:>10} "
                 f"{r['partition_seconds'] * 1e3:15.2f} "
-                f"{r['total_seconds'] * 1e3:11.2f} "
-                f"{r['mb_per_s']:8.1f} {vs_radix:8.2f}x {vs_pr4}")
+                f"{vs_radix:8.2f}x {vs_pr4}")
     lines.append("")
     lines.append(f"{'workload':>10} {'kernel':>28} {'bits':>5} "
                  f"{'ms':>9}")
@@ -174,8 +176,9 @@ def report_lines(result: dict, full_scale: bool) -> list[str]:
         lines.append(f"{r['workload']:>10} {r['kernel']:>28} {bits:>5} "
                      f"{r['seconds'] * 1e3:9.2f}")
     lines.append("")
-    lines.append("vs PR4 = PR 4 partition stage seconds (strided-kernel "
-                 "sweep, auto stride) / this row's partition stage")
+    lines.append("vs base = baseline partition stage seconds "
+                 "(strided-kernel sweep, auto stride) / this row's "
+                 "partition seconds")
     return lines
 
 
@@ -203,7 +206,7 @@ def test_partition_sweep(results_dir):
 
     from conftest import write_report
     write_report(results_dir / "partition_strategy.txt",
-                 "Partition strategies: stage time by strategy (1 MB)",
+                 "Partition: field partition vs radix oracle (1 MB)",
                  report_lines(result, full_scale=True))
 
     # The committed artefacts carry the measured >=3x vs the PR 4
@@ -212,9 +215,9 @@ def test_partition_sweep(results_dir):
     for workload in workloads:
         group = {r["strategy"]: r for r in result["stage_rows"]
                  if r["workload"] == workload}
-        assert group["auto"]["partition_seconds"] \
+        assert group["field-run"]["partition_seconds"] \
             < group["radix"]["partition_seconds"] / 1.3
-        assert group["auto"]["partition_seconds"] \
+        assert group["field-run"]["partition_seconds"] \
             < PR4_BASELINE_SECONDS[workload] / 2.0
 
 

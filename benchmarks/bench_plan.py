@@ -1,14 +1,14 @@
 """`--plan auto` vs fixed configurations — the planner acceptance bench.
 
 For each fig13 workload, times a grid of fixed knob settings (the paper
-default, smaller/larger chunks, narrow strides, forced radix partition)
-against the self-tuning path: ``Planner.refine`` runs a few calibration
+default, smaller/larger chunks, narrow strides) against the self-tuning
+path: ``Planner.refine`` runs a few calibration
 parses (planning cost, excluded from the steady state like every other
 cell's warm-up), then the chosen plan is timed exactly like the fixed
 cells.  Two artefacts:
 
 * ``BENCH_plan.json`` at the repo root — rows
-  ``{workload, config, chunk, stride, partition, seconds, mb_per_s}``
+  ``{workload, config, chunk, stride, seconds, mb_per_s}``
   plus the auto cell's full :class:`~repro.plan.PlanDecision` dict
   (candidates, scores, loser reasons) so the committed numbers carry
   their own rationale;
@@ -18,8 +18,7 @@ cells.  Two artefacts:
 
 Timing discipline follows ``bench_kernels.py`` (warm-up parse to build
 k-gram tables, then best-of-N on the *stage timers* — all stages, since
-the planner trades chunking, striding and partition work against each
-other) with one addition: the cells of one workload are timed
+the planner trades chunking and striding work against each other) with one addition: the cells of one workload are timed
 round-robin, one parse of every config per round, so slow periods of a
 shared machine bias every config equally instead of whichever cell they
 landed on.  Runnable standalone for the check.sh smoke:
@@ -35,7 +34,6 @@ import pathlib
 import sys
 
 from repro import Dialect, ParPaRawParser, ParseOptions
-from repro.core.options import PartitionStrategy, TaggingImpl
 from repro.kernels import clear_cache
 from repro.kernels.strided import resolve_stride
 from repro.plan import Planner
@@ -57,7 +55,6 @@ FIXED_CONFIGS: tuple[tuple[str, dict], ...] = (
     ("chunk-64", {"chunk_size": 64}),
     ("stride-1", {"kernel_stride": 1}),
     ("stride-2", {"kernel_stride": 2, "kernel_table_budget": 1 << 30}),
-    ("radix", {"partition_strategy": "radix"}),
 )
 
 
@@ -69,19 +66,12 @@ def generate_logs_like(target_bytes: int, seed: int = 13) -> bytes:
 
 def _resolved_key(options: ParseOptions) -> tuple:
     """The configuration a parse with ``options`` actually runs: chunk
-    size, the stride the table budget admits, and the partition strategy
-    the tagging implementation selects.  Cells that resolve identically
-    (e.g. auto choosing exactly the chunk-64 grid point) are the same
-    measurement, not two noisy ones."""
+    size and the stride the table budget admits.  Cells that resolve
+    identically (e.g. auto choosing exactly the chunk-64 grid point) are
+    the same measurement, not two noisy ones."""
     stride = resolve_stride(options.kernel_stride, options._sweep_dfa(),
                             options.kernel_table_budget)
-    if options.partition_strategy is not None:
-        strategy = options.partition_strategy.value
-    else:
-        strategy = PartitionStrategy.FIELD_RUN.value \
-            if options.tagging_impl is TaggingImpl.GLOBAL \
-            else PartitionStrategy.RADIX.value
-    return options.chunk_size, stride, strategy
+    return options.chunk_size, stride
 
 
 def bench_workload(name: str, dialect: Dialect, data: bytes,
@@ -117,11 +107,11 @@ def bench_workload(name: str, dialect: Dialect, data: bytes,
 
     rows = []
     for config, options in cells:
-        chunk, stride, strategy = _resolved_key(options)
-        seconds = best[(chunk, stride, strategy)]
+        chunk, stride = _resolved_key(options)
+        seconds = best[(chunk, stride)]
         rows.append({
             "workload": name, "config": config, "input_bytes": len(data),
-            "chunk": chunk, "stride": stride, "partition": strategy,
+            "chunk": chunk, "stride": stride,
             "seconds": round(seconds, 6),
             "mb_per_s": round(len(data) / MB / seconds, 2),
             **({"decision": decision.as_dict()} if config == "auto"
@@ -132,22 +122,19 @@ def bench_workload(name: str, dialect: Dialect, data: bytes,
 
 def report_lines(rows: list[dict]) -> list[str]:
     lines = [f"{'workload':>10} {'config':>10} {'chunk':>6} {'stride':>7} "
-             f"{'partition':>10} {'total (ms)':>11} {'MB/s':>8} "
-             f"{'vs default':>10}"]
+             f"{'total (ms)':>11} {'MB/s':>8} {'vs default':>10}"]
     for workload in dict.fromkeys(r["workload"] for r in rows):
         group = [r for r in rows if r["workload"] == workload]
         base = next(r for r in group if r["config"] == "default")
         for r in group:
             lines.append(
                 f"{workload:>10} {r['config']:>10} {r['chunk']:>6} "
-                f"{r['stride']:>7} {r['partition']:>10} "
-                f"{r['seconds'] * 1e3:11.2f} {r['mb_per_s']:8.1f} "
+                f"{r['stride']:>7} {r['seconds'] * 1e3:11.2f} {r['mb_per_s']:8.1f} "
                 f"{base['seconds'] / r['seconds']:9.2f}x")
         auto = next(r for r in group if r["config"] == "auto")
         chosen = auto["decision"]["chosen"]
         lines.append(f"{'':>10} auto chose chunk={chosen['chunk_size']} "
                      f"stride={chosen['kernel_stride']} "
-                     f"partition={chosen['partition_strategy']} "
                      f"(fingerprint {auto['decision']['fingerprint']})")
     lines.append("")
     lines.append("auto = Planner.refine() calibrates the cost model on a "

@@ -36,8 +36,6 @@ from repro.core import (
     ParPaRawParser,
     ParseOptions,
     ParseResult,
-    PartitionStrategy,
-    TaggingImpl,
     TaggingMode,
     parse_bytes,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "ParseOptions",
     "ParseResult",
     "TaggingMode",
-    "TaggingImpl",
-    "PartitionStrategy",
     "ColumnCountPolicy",
     "StreamingParser",
     "Planner",

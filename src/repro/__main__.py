@@ -51,7 +51,6 @@ from repro import (
     Dialect,
     ParPaRawParser,
     ParseOptions,
-    PartitionStrategy,
     TaggingMode,
 )
 from repro.columnar.serialize import serialize_table, write_feather
@@ -89,8 +88,6 @@ def _options_from_args(args: argparse.Namespace) -> ParseOptions:
                                     DEFAULT_TABLE_BUDGET),
         minimize_dfa=not getattr(args, "no_minimize", False),
         tagging_mode=TaggingMode(args.tagging_mode),
-        partition_strategy=None if args.partition_strategy == "auto"
-        else PartitionStrategy(args.partition_strategy),
         infer_types=getattr(args, "infer_types", False),
         column_count_policy=ColumnCountPolicy(args.column_policy),
         plan=None if getattr(args, "plan", "off") == "off" else args.plan,
@@ -151,7 +148,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         decision = planner.plan(data, options)
         w = decision.winner
         print(f"plan: chunk={w.chunk_size} stride={w.stride} "
-              f"partition={w.strategy} workers={decision.workers} "
+              f"workers={decision.workers} "
               f"({decision.modelled_seconds * 1e3:.2f} ms modelled, "
               f"fingerprint {decision.fingerprint})")
         # An explicit --workers wins; otherwise follow the planner.
@@ -385,13 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the canonical minimised automaton")
         p.add_argument("--tagging-mode", default="tagged",
                        choices=[m.value for m in TaggingMode])
-        p.add_argument("--partition-strategy", default="auto",
-                       choices=["auto"] + [s.value
-                                           for s in PartitionStrategy],
-                       help="phase 3a CSS materialisation: field-run "
-                            "(O(n) segment gather), radix (GPU-faithful "
-                            "sort), or auto (default: field-run when the "
-                            "tags are run-structured)")
         p.add_argument("--column-policy", default="lenient",
                        choices=[p.value for p in ColumnCountPolicy])
         p.add_argument("--workers", type=_positive_int, default=1,
@@ -400,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = serial, the default)")
         p.add_argument("--plan", default="off", choices=("off", "auto"),
                        help="auto = let the self-tuning planner probe "
-                            "the input and pick chunk size, stride and "
-                            "partition strategy with its calibrated "
-                            "cost model (see docs/PLANNER.md)")
+                            "the input and pick chunk size and stride "
+                            "with its calibrated cost model (see "
+                            "docs/PLANNER.md)")
 
     p_parse = sub.add_parser("parse", help="parse a file")
     p_parse.add_argument("file")

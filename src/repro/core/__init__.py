@@ -12,8 +12,8 @@ follows them:
    bitmap indexes, record/column offsets via the rel/abs operator scan, and
    per-symbol record/column tags (§3.2);
 4. :mod:`~repro.core.partition` / :mod:`~repro.core.css` — stable
-   radix-sort partition by column, concatenated symbol strings, and CSS
-   index generation, in all three tagging modes (§3.3, §4.1);
+   partition of the fields by column, concatenated symbol strings, and
+   CSS index generation, in all three tagging modes (§3.3, §4.1);
 5. :mod:`~repro.core.conversion` — typed field-value generation with
    thread/block/device collaboration levels (§3.3);
 6. capabilities (§4.3): :mod:`~repro.core.validation`,
@@ -26,8 +26,7 @@ partition -> convert``), scheduled by a pluggable executor from
 one-call facade over it and the library's main entry point.
 """
 
-from repro.core.options import ParseOptions, PartitionStrategy, \
-    TaggingMode, TaggingImpl
+from repro.core.options import ParseOptions, TaggingMode
 from repro.core.parser import ParPaRawParser, parse_bytes
 from repro.core.result import ParseResult
 from repro.core.stages import StagePipeline, default_pipeline
@@ -35,8 +34,6 @@ from repro.core.stages import StagePipeline, default_pipeline
 __all__ = [
     "ParseOptions",
     "TaggingMode",
-    "TaggingImpl",
-    "PartitionStrategy",
     "ParPaRawParser",
     "parse_bytes",
     "ParseResult",

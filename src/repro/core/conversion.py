@@ -8,9 +8,10 @@ output: a typed data buffer + validity bitmap per column.  The pipeline:
 2. pre-initialise the column with its default value (paper §4.3 — *Default
    values for empty strings*): fields without symbols simply never
    overwrite it, and become NULL when there is no default;
-3. convert the non-empty fields — vectorised by default
-   (:mod:`repro.core.vector_convert`), with scalar fallback for literals
-   the vector path declines, or fully scalar when configured;
+3. convert the non-empty fields — vectorised
+   (:mod:`repro.core.vector_convert`), with scalar fallback
+   (:mod:`repro.core.scalar_convert`) for literals the vector path
+   declines;
 4. scatter values into rows; conversion failures clear the row's validity
    and count as *rejects* (the per-thread reject flags of Figure 5).
 
@@ -181,8 +182,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     num_rows:
         Output row count.
     options:
-        Parse options (vectorised vs scalar conversion, thresholds,
-        strictness, fused vs copying buffer assembly).
+        Parse options (NULL literals, thresholds, strictness).
     convert_stats:
         Optional accumulator for byte-copy accounting (the convert
         stage's ``convert.bytes.copied`` / ``convert.zero_copy_columns``
@@ -223,7 +223,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
 
     if field.dtype is DataType.STRING:
         column = None
-        if options.fused_convert and rows_ascending and fields_tile_css:
+        if rows_ascending and fields_tile_css:
             column = _fused_string_column(field, css, starts, lengths,
                                           out_rows, num_rows, default,
                                           null_rows)
@@ -244,8 +244,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     # and the parse-ok mask *is* the validity; no default pre-fill, no
     # scatter.  (NULL-literal holes break full coverage, so they imply
     # the scatter path.)
-    fused_fixed = (options.fused_convert and rows_ascending
-                   and n_fields == num_rows and num_rows > 0)
+    fused_fixed = rows_ascending and n_fields == num_rows and num_rows > 0
     if not fused_fixed:
         data = np.zeros(num_rows, dtype=field.dtype.numpy_dtype)
         if default is None:
@@ -254,7 +253,7 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
             data[:] = default
             validity = np.ones(num_rows, dtype=bool)
 
-    if options.fused_convert and fields_tile_css:
+    if fields_tile_css:
         # Fields already packed: parse straight off the CSS slice.
         base = int(starts[0])
         buf = css[base:int(starts[-1] + lengths[-1])]
@@ -262,20 +261,14 @@ def convert_column(field: Field, css: np.ndarray, index: ColumnIndex,
     else:
         buf, packed_offsets = pack_fields(css, starts, lengths)
     if n_fields:
-        if options.vectorized_conversion:
-            values, ok, fallback = _vector_parse(field, buf,
-                                                 packed_offsets, lengths)
-            values = values.astype(field.dtype.numpy_dtype, copy=False)
-            if np.any(fallback):
-                values = values.copy()
-                ok = ok.copy()
-                _scalar_parse_into(field, buf, packed_offsets, lengths,
-                                   fallback, values, ok)
-        else:
-            values = np.zeros(n_fields, dtype=field.dtype.numpy_dtype)
-            ok = np.zeros(n_fields, dtype=bool)
+        values, ok, fallback = _vector_parse(field, buf, packed_offsets,
+                                             lengths)
+        values = values.astype(field.dtype.numpy_dtype, copy=False)
+        if np.any(fallback):
+            values = values.copy()
+            ok = ok.copy()
             _scalar_parse_into(field, buf, packed_offsets, lengths,
-                               np.ones(n_fields, dtype=bool), values, ok)
+                               fallback, values, ok)
         rejects = int(np.count_nonzero(~ok))
         if rejects and options.strict:
             first = int(np.flatnonzero(~ok)[0])

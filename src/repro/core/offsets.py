@@ -1,7 +1,8 @@
 """Chunk-local record/column offsets and their scans (paper §3.2).
 
-This is the paper-faithful formulation used by the ``CHUNKED`` tagging
-implementation and the ablation benchmarks:
+This is the paper-faithful formulation behind the chunked tagger
+(:func:`~repro.core.tagging.tag_chunked`, a test oracle) and the ablation
+benchmarks:
 
 * every chunk builds its three *bitmap indexes* (record delimiters, field
   delimiters, control symbols);

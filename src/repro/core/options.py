@@ -2,9 +2,10 @@
 
 :class:`ParseOptions` gathers everything that shapes a parse: the dialect
 (or an explicit DFA), the output schema, the chunk size, the tagging mode
-(paper §4.1), capability switches (§4.3), and implementation toggles used
-by the ablation benchmarks (chunked vs global tagging, vectorised vs scalar
-conversion).
+(paper §4.1), capability switches (§4.3) and the performance knobs the
+planner tunes (chunk size, kernel stride).  Every stage has one production
+implementation; the paper's GPU formulations (chunked tagging, radix
+partition) and the scalar converters are test oracles, not options.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from repro.dfa.dialects import Dialect
 from repro.errors import ParseError, SchemaError
 from repro.kernels.strided import DEFAULT_TABLE_BUDGET, plan_nbytes
 
-__all__ = ["TaggingMode", "TaggingImpl", "ColumnCountPolicy",
-           "PartitionStrategy", "ParseOptions"]
+__all__ = ["TaggingMode", "ColumnCountPolicy", "ParseOptions"]
 
 
 class TaggingMode(Enum):
@@ -40,42 +40,6 @@ class TaggingMode(Enum):
     TAGGED = "tagged"
     INLINE = "inline"
     DELIMITED = "delimited"
-
-
-class TaggingImpl(Enum):
-    """Which implementation computes offsets and tags (ablation switch).
-
-    * ``GLOBAL`` — vectorised whole-input computation (production path).
-    * ``CHUNKED`` — paper-faithful per-chunk bitmap indexes, popcounts and
-      rel/abs offset scans (§3.2); slower, used for tests and ablations.
-    """
-
-    GLOBAL = "global"
-    CHUNKED = "chunked"
-
-
-class PartitionStrategy(Enum):
-    """How phase 3a materialises the per-column CSSs (paper §3.3).
-
-    * ``RADIX`` — the paper-faithful stable LSD radix sort over the
-      per-symbol column tags (histogram → prefix sum → stable
-      scatter, one pass per digit).  GPU-shaped; on the vectorised
-      executor each pass costs ``2**radix_bits`` array sweeps.
-    * ``FIELD_RUN`` — run-length encodes the tag sequence into per-field
-      runs, stable-counting-sorts the *runs* by column id
-      (``num_fields ≪ n``) and materialises the CSSs with one
-      ``np.repeat``-based segment gather: ``O(n + num_fields)`` total.
-      Bit-identical to the radix sort, including the stable ``order``
-      permutation.
-
-    ``ParseOptions.partition_strategy = None`` (the default) selects
-    automatically: field-run whenever the tagging stage materialised the
-    per-delimiter position arrays (the run-structured GLOBAL path),
-    radix as the GPU-faithful fallback (e.g. ``TaggingImpl.CHUNKED``).
-    """
-
-    RADIX = "radix"
-    FIELD_RUN = "field-run"
 
 
 class ColumnCountPolicy(Enum):
@@ -133,14 +97,8 @@ class ParseOptions:
         lets behaviourally equivalent dialects share kernel-cache
         entries.  Parses are bit-identical either way; ``False`` keeps
         the raw automaton (ablation/debugging).
-    tagging_mode / tagging_impl:
-        See :class:`TaggingMode` / :class:`TaggingImpl`.
-    partition_strategy:
-        How phase 3a brings each column's symbols together
-        (:class:`PartitionStrategy`).  ``None`` (default) picks
-        field-run when the tags arrived run-structured (per-delimiter
-        position arrays available), radix otherwise; both produce
-        bit-identical partitions.
+    tagging_mode:
+        See :class:`TaggingMode`.
     inline_terminator:
         Terminator byte for ``TaggingMode.INLINE``.
     column_count_policy:
@@ -156,17 +114,6 @@ class ParseOptions:
         Column indexes to materialise; ``None`` keeps all.
     infer_types:
         Infer numeric column types when no schema is given (§4.3).
-    fused_convert:
-        Emit output buffers directly off the partition's segment gather
-        when possible: string columns become zero-copy slices of the
-        column CSS (record-tagged mode, no defaults/NULL literals in
-        play) and fully-populated fixed-width columns adopt the parsed
-        value vector without a scatter.  Bit-identical table contents
-        either way; ``False`` forces the copying reference path (used by
-        the parity tests and as the benchmark baseline).
-    vectorized_conversion:
-        Use the NumPy field converters (production) or the scalar
-        reference converters (ablation/verification).
     null_literals:
         Field texts treated as NULL (e.g. ``("NA", "null")``) — matched
         exactly, before type conversion; such fields clear the row's
@@ -179,11 +126,11 @@ class ParseOptions:
     plan:
         ``"auto"`` lets the self-tuning planner (:mod:`repro.plan`)
         probe the input and override the performance knobs
-        (``chunk_size``, ``kernel_stride``, ``partition_strategy``)
-        with the configuration its calibrated cost model scores best.
-        An explicit ``kernel_stride`` or ``partition_strategy`` set
-        alongside ``plan="auto"`` pins that dimension and only the rest
-        are searched (the configured ``chunk_size`` stays a candidate).
+        (``chunk_size``, ``kernel_stride``) with the configuration its
+        calibrated cost model scores best.  An explicit
+        ``kernel_stride`` set alongside ``plan="auto"`` pins the stride
+        and only chunk sizes are searched (the configured
+        ``chunk_size`` stays a candidate).
         ``None`` (default) parses with the options exactly as given.
     """
 
@@ -195,8 +142,6 @@ class ParseOptions:
     kernel_table_budget: int = DEFAULT_TABLE_BUDGET
     minimize_dfa: bool = True
     tagging_mode: TaggingMode = TaggingMode.TAGGED
-    tagging_impl: TaggingImpl = TaggingImpl.GLOBAL
-    partition_strategy: PartitionStrategy | None = None
     inline_terminator: int = DEFAULT_TERMINATOR
     column_count_policy: ColumnCountPolicy = ColumnCountPolicy.LENIENT
     strict: bool = False
@@ -204,8 +149,6 @@ class ParseOptions:
     skip_records: frozenset[int] = frozenset()
     select_columns: tuple[int, ...] | None = None
     infer_types: bool = False
-    fused_convert: bool = True
-    vectorized_conversion: bool = True
     null_literals: tuple[str, ...] = ()
     block_threshold: int = 256
     device_threshold: int = 48 * 1024
@@ -218,17 +161,6 @@ class ParseOptions:
             raise ParseError("kernel_stride must be >= 1 (or None for auto)")
         if self.kernel_table_budget <= 0:
             raise ParseError("kernel_table_budget must be positive")
-        if self.partition_strategy is not None \
-                and not isinstance(self.partition_strategy,
-                                   PartitionStrategy):
-            # Accept the plain strings "radix" / "field-run" too.
-            try:
-                strategy = PartitionStrategy(self.partition_strategy)
-            except ValueError:
-                raise ParseError(
-                    "partition_strategy must be 'radix', 'field-run' or "
-                    "None (auto)") from None
-            object.__setattr__(self, "partition_strategy", strategy)
         if not 0 <= self.inline_terminator <= 0xFF:
             raise ParseError("inline_terminator must be one byte")
         if self.block_threshold <= 0 \
@@ -244,13 +176,6 @@ class ParseOptions:
             raise ParseError(
                 f"plan must be None or 'auto', got {self.plan!r}")
         object.__setattr__(self, "_dfa_cache", None)
-        if self.partition_strategy is PartitionStrategy.FIELD_RUN \
-                and self.tagging_impl is TaggingImpl.CHUNKED:
-            raise ParseError(
-                "partition_strategy='field-run' requires the per-delimiter "
-                "position arrays only TaggingImpl.GLOBAL materialises; "
-                "use partition_strategy='radix' (or None for auto) with "
-                "chunked tagging")
         if self.kernel_stride is not None and self.kernel_stride > 1:
             automaton = self._sweep_dfa()
             need = plan_nbytes(automaton.num_groups, automaton.num_states,

@@ -16,9 +16,9 @@ per-column field index.  ``O(n)`` bytes plus ``O(num_fields)`` words.
 
 **Stable LSD radix sort** (:func:`stable_radix_sort` /
 :func:`partition_by_column`) — the paper's GPU formulation over
-per-symbol tags, kept as the ``partition_strategy="radix"`` path and as
-the test oracle.  A single partitioning pass is the GPU-classic
-three-step dance:
+per-symbol tags, kept as the test oracle (:func:`partition_symbols`
+drives it from a validated parse).  A single partitioning pass is the
+GPU-classic three-step dance:
 
 1. histogram of items per digit value,
 2. exclusive prefix sum over the histogram (partition start offsets),
@@ -31,10 +31,9 @@ the prefix-sum-based ranking a GPU implementation performs.  Its field
 index is re-derived from the sorted per-symbol record tags (or field
 terminators).
 
-Both strategies produce bit-identical CSS, column offsets and field
-indexes, which the parity suite in ``tests/core/test_partition.py`` and
-the pipeline-level sweep in ``tests/core/test_partition_parity.py``
-enforce.
+Both produce bit-identical CSS, column offsets and field indexes, which
+the parity suite in ``tests/core/test_partition.py`` and the
+pipeline-level sweep in ``tests/core/test_partition_parity.py`` enforce.
 """
 
 from __future__ import annotations
@@ -46,11 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.columnar.guard import protect
+from repro.core.options import TaggingMode
+from repro.core.tagging import TagResult, expand_symbol_tags
 from repro.errors import ParseError
 from repro.scan.numpy_scan import exclusive_sum
 
 __all__ = ["stable_radix_sort", "PartitionResult", "partition_by_column",
-           "partition_fields"]
+           "partition_fields", "build_keep_mask", "partition_symbols"]
 
 
 def stable_radix_sort(keys: np.ndarray, radix_bits: int = 2,
@@ -304,6 +305,59 @@ def partition_by_column(data: np.ndarray, keep_mask: np.ndarray,
         field_lengths=field_lengths,
         field_bounds=np.searchsorted(field_starts, column_offsets),
         terminated=terminators is not None, order=order)
+
+
+def build_keep_mask(mode: TaggingMode, data_mask: np.ndarray,
+                    delim_mask: np.ndarray, column_ok: np.ndarray,
+                    record_ok: np.ndarray) -> np.ndarray:
+    """Positions entering the radix partition under the given mode.
+
+    Record-tagged keeps data symbols only; the inline/delimited modes also
+    keep each field's terminating delimiter (it becomes the terminator /
+    auxiliary mark).
+    """
+    if mode is TaggingMode.TAGGED:
+        return data_mask & column_ok & record_ok
+    return (data_mask | delim_mask) & column_ok & record_ok
+
+
+def partition_symbols(data: np.ndarray, tags: TagResult,
+                      valid_records: np.ndarray, column_mask: np.ndarray,
+                      num_columns: int, mode: TaggingMode,
+                      end_byte: int) -> PartitionResult:
+    """The radix-sort oracle of a validated parse, per symbol (§3.3).
+
+    Expands the field tags to per-symbol tags and a per-symbol keep mask
+    (:func:`build_keep_mask`) and partitions them with
+    :func:`partition_by_column` — the paper's GPU formulation, which the
+    parity suites hold :func:`partition_fields` to.  The per-symbol
+    streams cover the input extended by the virtual record delimiter
+    (``end_byte``) of a trailing record, so the inline/delimited modes
+    see that record's last field terminated like every other.
+    """
+    virtual = tags.has_trailing_record
+    symbols = expand_symbol_tags(tags, virtual_delimiter=virtual)
+    data_mask = tags.data_mask
+    if virtual:
+        data = np.concatenate([data, np.array([end_byte], dtype=np.uint8)])
+        data_mask = np.concatenate([data_mask, [False]])
+    delim_mask = symbols.record_delim | symbols.field_delim
+    col_ids, rec_ids = symbols.column_ids, symbols.record_ids
+    num_records = tags.num_records
+    col_ok = (col_ids < num_columns) & (col_ids >= 0)
+    col_ok &= column_mask[np.clip(col_ids, 0, max(0, num_columns - 1))] \
+        if num_columns else False
+    if num_records:
+        # Positions in a trailing comment (no content after the last
+        # record delimiter) carry a record id one past the end; they
+        # are never content, so clipping is safe.
+        rec_ok = valid_records[np.clip(rec_ids, 0, num_records - 1)]
+    else:
+        rec_ok = np.zeros(col_ids.shape, dtype=bool)
+    keep = build_keep_mask(mode, data_mask, delim_mask, col_ok, rec_ok)
+    return partition_by_column(
+        data, keep, col_ids, rec_ids, num_columns,
+        terminators=None if mode is TaggingMode.TAGGED else delim_mask)
 
 
 def partition_fields(data: np.ndarray, data_mask: np.ndarray,

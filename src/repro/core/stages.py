@@ -8,18 +8,24 @@ input/output payload dataclass:
 stage                 input               output              timer step
 ====================  ==================  ==================  ===========
 ``prune``    (§4.3)   :class:`RawInput`   :class:`RawInput`   ``prune``
-``chunk``    (§3)     :class:`RawInput`   :class:`ChunkedInput`      —
+``chunk``    (§3)     :class:`RawInput`   :class:`ChunkedInput`  ``chunk``
 ``stv``      (§3.1)   :class:`ChunkedInput`  :class:`ChunkVectors`  ``parse``
 ``scan``     (§3.1)   :class:`ChunkVectors`  :class:`ChunkContexts` ``scan``
 ``tag``      (§3.1-2) :class:`ChunkContexts` :class:`TaggedInput`   ``tag``
-``validate`` (§4.3)   :class:`TaggedInput`   :class:`ValidatedInput`    —
+``validate`` (§4.3)   :class:`TaggedInput`   :class:`ValidatedInput` ``validate``
 ``partition``(§3.3)   :class:`ValidatedInput` :class:`PartitionedInput` ``partition``
 ``convert``  (§3.3)   :class:`PartitionedInput` :class:`ConvertedOutput` ``convert``
 ====================  ==================  ==================  ===========
 
-The *timer step* column is the paper's step vocabulary (Figures 9/11);
-:class:`StagePipeline` times each stage under that name, so the measured
-breakdown of a staged parse is indistinguishable from the old monolith's.
+The *timer step* column is the paper's step vocabulary (Figures 9/11)
+plus ``chunk`` and ``validate``; :class:`StagePipeline` times every stage
+under that name, so the step totals account for the whole pipeline.
+
+Each stage has one production implementation.  The paper's GPU
+formulations — the chunked tagger (:func:`~repro.core.tagging.tag_chunked`)
+and the radix partition (:func:`~repro.core.partition.partition_symbols`)
+— are test oracles; a test substitutes them by handing an executor a
+:class:`StagePipeline` with its own stage subclasses.
 
 Stages are pure with respect to the :class:`PipelineContext` (options,
 automaton, timer): running the same stage twice on the same payload gives
@@ -43,20 +49,11 @@ from repro.core.chunking import Chunking, chunk_groups_canonical
 from repro.core.context import chunk_start_states, compute_transition_vectors
 from repro.core.conversion import CollaborationStats, ConvertStats, \
     convert_column
-from repro.core.options import (
-    ColumnCountPolicy,
-    ParseOptions,
-    PartitionStrategy,
-    TaggingImpl,
-    TaggingMode,
-)
-from repro.core.partition import PartitionResult, partition_by_column, \
-    partition_fields
+from repro.core.options import ColumnCountPolicy, ParseOptions, TaggingMode
+from repro.core.partition import PartitionResult, partition_fields
 from repro.core.selection import prune_rows, row_mapping, selected_column_mask
-from repro.core.tagging import TagResult, compute_emissions, \
-    expand_symbol_tags, tag_chunked, tag_global
-from repro.core.tagging_modes import build_keep_mask, column_indexes, \
-    prepare_css
+from repro.core.tagging import TagResult, compute_emissions, tag_global
+from repro.core.tagging_modes import column_indexes, prepare_css
 from repro.core.typeinfer import infer_column_type
 from repro.core.validation import ValidationReport, apply_column_policy, \
     validate_input
@@ -219,8 +216,6 @@ class PartitionedInput(ValidatedInput):
     part: PartitionResult
     #: CSS after mode-specific post-processing (§4.1).
     css: np.ndarray
-    #: The strategy that produced :attr:`part`.
-    strategy: PartitionStrategy
 
 
 @dataclass
@@ -254,13 +249,12 @@ class Stage:
     """One named phase of the parsing pipeline.
 
     Subclasses declare their payload contract (``input_type`` /
-    ``output_type``) and the paper step name their wall-clock time is
-    credited to (``timer_step``; ``None`` = untimed, exactly as in the
-    monolithic parser).
+    ``output_type``) and the step name their wall-clock time is credited
+    to (``timer_step``).
     """
 
     name: ClassVar[str]
-    timer_step: ClassVar[str | None] = None
+    timer_step: ClassVar[str]
     input_type: ClassVar[type] = RawInput
     output_type: ClassVar[type] = RawInput
 
@@ -315,7 +309,7 @@ class ChunkStage(Stage):
     """
 
     name = "chunk"
-    timer_step = None
+    timer_step = "chunk"
     input_type = RawInput
     output_type = ChunkedInput
 
@@ -396,6 +390,12 @@ class TagStage(Stage):
     input_type = ChunkContexts
     output_type = TaggedInput
 
+    @staticmethod
+    def tag(emissions: np.ndarray, final_state: int,
+            chunking: Chunking) -> TagResult:
+        """Per-field tags of the emission stream (:func:`tag_global`)."""
+        return tag_global(emissions, final_state)
+
     def run(self, ctx, payload: ChunkContexts) -> TaggedInput:
         stride = resolve_stride(ctx.options.kernel_stride,
                                 payload.padded_dfa,
@@ -419,10 +419,7 @@ class TagStage(Stage):
             final_state = int(payload.canon.state_rep[final_state])
         if ctx.metrics.enabled:
             ctx.metrics.gauge("stage.tag.stride", stride)
-        if ctx.options.tagging_impl is TaggingImpl.CHUNKED:
-            tags = tag_chunked(emissions, final_state, payload.chunking)
-        else:
-            tags = tag_global(emissions, final_state)
+        tags = self.tag(emissions, final_state, payload.chunking)
         return TaggedInput(raw=payload.raw, input_bytes=payload.input_bytes,
                            tags=tags, invalid_position=invalid_position)
 
@@ -436,7 +433,7 @@ class ValidateStage(Stage):
     """
 
     name = "validate"
-    timer_step = None
+    timer_step = "validate"
     input_type = TaggedInput
     output_type = ValidatedInput
 
@@ -565,12 +562,8 @@ class ValidateStage(Stage):
 class PartitionStage(Stage):
     """Phase 3a: stable column partition + CSS post-processing (§3.3).
 
-    Selects the partition strategy: ``ParseOptions.partition_strategy``
-    when set, otherwise the field partition for the production tagger
-    (:attr:`TaggingImpl.GLOBAL`) and the GPU-faithful radix sort for the
-    paper-faithful chunked tagger.  Both strategies produce bit-identical
-    CSS and field indexes, so everything downstream is untouched by the
-    choice.
+    The field partition (:func:`partition_fields`): a stable counting
+    sort of the kept fields by column and one byte gather per column.
     """
 
     name = "partition"
@@ -578,78 +571,26 @@ class PartitionStage(Stage):
     input_type = ValidatedInput
     output_type = PartitionedInput
 
-    @staticmethod
-    def resolve_strategy(options: ParseOptions) -> PartitionStrategy:
-        """The strategy this parse runs with (auto = by tagging impl)."""
-        if options.partition_strategy is not None:
-            return options.partition_strategy
-        return PartitionStrategy.FIELD_RUN \
-            if options.tagging_impl is TaggingImpl.GLOBAL \
-            else PartitionStrategy.RADIX
-
     def run(self, ctx, payload: ValidatedInput) -> PartitionedInput:
         options = ctx.options
-        strategy = self.resolve_strategy(options)
-        tags = payload.tags
-        if strategy is PartitionStrategy.FIELD_RUN:
-            part = partition_fields(
-                payload.raw, tags.data_mask, tags.delim_positions,
-                tags.field_columns, tags.field_records, payload.field_keep,
-                payload.num_columns,
-                terminated=options.tagging_mode is not TaggingMode.TAGGED,
-                end_byte=options.dialect.record_delimiter_byte)
-        else:
-            part = self._partition_symbols(options, payload)
+        part = self.partition(options, payload)
         css = prepare_css(options.tagging_mode, part, options)
-        return PartitionedInput(**payload.__dict__, part=part, css=css,
-                                strategy=strategy)
+        return PartitionedInput(**payload.__dict__, part=part, css=css)
 
     @staticmethod
-    def _partition_symbols(options: ParseOptions,
-                           payload: ValidatedInput) -> PartitionResult:
-        """The GPU-faithful path: per-symbol tags and keep mask, radix sort.
-
-        The per-symbol streams are expanded from the field tags, over the
-        input extended by the virtual record delimiter of a trailing
-        record, so the inline/delimited modes see that record's last
-        field terminated like every other.
-        """
+    def partition(options: ParseOptions,
+                  payload: ValidatedInput) -> PartitionResult:
+        """The column partition of the validated fields."""
         tags = payload.tags
-        mode = options.tagging_mode
-        virtual = tags.has_trailing_record
-        symbols = expand_symbol_tags(tags, virtual_delimiter=virtual)
-        data, data_mask = payload.raw, tags.data_mask
-        if virtual:
-            data = np.concatenate([data, np.array(
-                [options.dialect.record_delimiter_byte], dtype=np.uint8)])
-            data_mask = np.concatenate([data_mask, [False]])
-        delim_mask = symbols.record_delim | symbols.field_delim
-        col_ids, rec_ids = symbols.column_ids, symbols.record_ids
-        num_columns, num_records = payload.num_columns, tags.num_records
-        col_ok = (col_ids < num_columns) & (col_ids >= 0)
-        col_ok &= payload.column_mask[
-            np.clip(col_ids, 0, max(0, num_columns - 1))] \
-            if num_columns else False
-        if num_records:
-            # Positions in a trailing comment (no content after the last
-            # record delimiter) carry a record id one past the end; they
-            # are never content, so clipping is safe.
-            rec_ok = payload.valid_records[np.clip(rec_ids, 0,
-                                                   num_records - 1)]
-        else:
-            rec_ok = np.zeros(col_ids.shape, dtype=bool)
-        keep = build_keep_mask(mode, data_mask, delim_mask, col_ok, rec_ok)
-        return partition_by_column(
-            data, keep, col_ids, rec_ids, num_columns,
-            terminators=None if mode is TaggingMode.TAGGED else delim_mask)
+        return partition_fields(
+            payload.raw, tags.data_mask, tags.delim_positions,
+            tags.field_columns, tags.field_records, payload.field_keep,
+            payload.num_columns,
+            terminated=options.tagging_mode is not TaggingMode.TAGGED,
+            end_byte=options.dialect.record_delimiter_byte)
 
     def record_metrics(self, metrics, payload: PartitionedInput) -> None:
-        # 1.0 = field partition, 0.0 = radix.
-        field_run = payload.strategy is PartitionStrategy.FIELD_RUN
-        metrics.gauge("stage.partition.strategy",
-                      1.0 if field_run else 0.0)
-        if field_run:
-            metrics.gauge("partition.fields", payload.part.num_fields)
+        metrics.gauge("partition.fields", payload.part.num_fields)
 
 
 class ConvertStage(Stage):
@@ -829,19 +770,13 @@ class StagePipeline:
             return payload
         tracer, metrics = ctx.tracer, ctx.metrics
         if not tracer.enabled and not metrics.enabled:
-            if stage.timer_step is None:
-                return stage.run(ctx, payload)
             with ctx.timer.step(stage.timer_step):
                 return stage.run(ctx, payload)
         start = time.perf_counter()
         before = payload
-        with tracer.span(f"stage:{stage.name}",
-                         step=stage.timer_step or ""):
-            if stage.timer_step is None:
+        with tracer.span(f"stage:{stage.name}", step=stage.timer_step):
+            with ctx.timer.step(stage.timer_step):
                 payload = stage.run(ctx, payload)
-            else:
-                with ctx.timer.step(stage.timer_step):
-                    payload = stage.run(ctx, payload)
         if metrics.enabled:
             metrics.observe(f"stage.{stage.name}.seconds",
                             time.perf_counter() - start)

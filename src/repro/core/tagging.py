@@ -17,18 +17,16 @@ the production path.  :func:`expand_symbol_tags` materialises them on
 demand, for the radix-sort partition oracle and for comparing against
 the chunked tagger.
 
-Two interchangeable implementations are provided (selected by
-:class:`~repro.core.options.TaggingImpl`):
+Two implementations produce bit-identical :class:`TagResult` values
+(property tested):
 
-* ``GLOBAL`` — per-field tags from whole-input delimiter bookkeeping
-  (:func:`tag_global`).  This is the production path.
-* ``CHUNKED`` — the paper's formulation: per-chunk counts and rel/abs
-  offsets, prefix scans across chunks (:mod:`repro.core.offsets`), then a
-  per-chunk tagging sweep seeded with the scanned offsets
+* :func:`tag_global` — per-field tags from whole-input delimiter
+  bookkeeping.  The production path (:class:`~repro.core.stages.TagStage`).
+* :func:`tag_chunked` — the paper's formulation: per-chunk counts and
+  rel/abs offsets, prefix scans across chunks (:mod:`repro.core.offsets`),
+  then a per-chunk tagging sweep seeded with the scanned offsets
   (:func:`symbol_tags_chunked`).  Structurally identical to the GPU
-  kernels; used by tests and ablations.
-
-Both produce bit-identical :class:`TagResult` values (property tested).
+  kernels; the test oracle the parity suites hold :func:`tag_global` to.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ The three CSS layouts trade robustness against memory traffic:
 * **vector-delimited** — like inline, but field ends are marked in an
   auxiliary boolean vector instead of a reserved byte (1 bit/symbol).
 
-This module owns the mode-specific steps the parser composes: building the
-per-symbol keep-mask of the radix partition oracle, post-processing the
-CSS (terminator substitution), and per-column index construction.
+This module owns the mode-specific steps the parser composes after the
+partition: post-processing the CSS (terminator substitution) and
+per-column index construction.  (The per-symbol keep mask of the radix
+partition oracle lives with it, in :mod:`repro.core.partition`.)
 """
 
 from __future__ import annotations
@@ -27,21 +28,7 @@ from repro.core.options import ParseOptions, TaggingMode
 from repro.core.partition import PartitionResult
 from repro.errors import ParseError
 
-__all__ = ["build_keep_mask", "prepare_css", "column_indexes"]
-
-
-def build_keep_mask(mode: TaggingMode, data_mask: np.ndarray,
-                    delim_mask: np.ndarray, column_ok: np.ndarray,
-                    record_ok: np.ndarray) -> np.ndarray:
-    """Positions entering the radix partition under the given mode.
-
-    Record-tagged keeps data symbols only; the inline/delimited modes also
-    keep each field's terminating delimiter (it becomes the terminator /
-    auxiliary mark).
-    """
-    if mode is TaggingMode.TAGGED:
-        return data_mask & column_ok & record_ok
-    return (data_mask | delim_mask) & column_ok & record_ok
+__all__ = ["prepare_css", "column_indexes"]
 
 
 def prepare_css(mode: TaggingMode, part: PartitionResult,

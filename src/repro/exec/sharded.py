@@ -26,9 +26,7 @@ phases across a ``ProcessPoolExecutor``:
    offsets, concatenates, and derives every field's record and column
    exactly as the serial tagger does
    (:func:`~repro.core.tagging.tag_fields`) — ``O(delimiters)`` work, no
-   per-symbol ids shipped.  Both tagging implementations yield these
-   same arrays, so the workers ship them under either; the per-chunk
-   sweep of ``TaggingImpl.CHUNKED`` stays a serial-schedule oracle.
+   per-symbol ids shipped.
 
 Because a shard entering mid-record or mid-quote is resolved exactly like
 a chunk entering mid-record or mid-quote, shard boundaries are arbitrary

@@ -16,12 +16,14 @@ fields; an ``ok`` parse response body is the table in the Feather-style
 framing of :mod:`repro.columnar.serialize` (``write_feather``), a
 ``status`` response body is the service status dict as JSON.
 
-Parse options travel as a JSON dict mirroring the CLI surface
-(:func:`options_to_wire` / :func:`options_from_wire`): dialect fields,
-chunk size, stride, tagging mode, partition strategy, column policy and
-an optional schema — either ``{"columns": N}`` (N string columns) or
-``{"fields": [[name, dtype], ...]}``.  Options backed by a custom DFA
-object cannot travel by wire; use the in-process client for those.
+Parse options travel as a flat JSON dict (:func:`options_to_wire` /
+:func:`options_from_wire`): every :class:`~repro.dfa.dialects.Dialect`
+field and every :class:`~repro.core.options.ParseOptions` field, one key
+each, with an optional schema — either ``{"columns": N}`` (N string
+columns) or ``{"fields": [{"name": ..., "dtype": ..., "nullable": ...,
+"default": ..., "decimal_scale": ...}, ...]}``.  The codec is lossless
+and rejects unknown keys.  Options backed by a custom DFA object cannot
+travel by wire; use the in-process client for those.
 
 Readers enforce limits before allocating: a header over
 ``MAX_HEADER_BYTES`` or a body over the reader's ``max_body`` raises
@@ -31,15 +33,15 @@ cannot balloon the server.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+from enum import Enum
 
 from repro.columnar.schema import DataType, Field, Schema
-from repro.core.options import ColumnCountPolicy, ParseOptions, \
-    PartitionStrategy, TaggingMode
+from repro.core.options import ColumnCountPolicy, ParseOptions, TaggingMode
 from repro.dfa.dialects import Dialect
 from repro.errors import ProtocolError, ServeError
-from repro.kernels.strided import DEFAULT_TABLE_BUDGET
 
 __all__ = [
     "MAGIC",
@@ -135,10 +137,86 @@ def read_frame(stream, max_body: int = DEFAULT_MAX_BODY_BYTES
 
 # -- options on the wire -----------------------------------------------------
 
+def _optional(decode):
+    return lambda value: None if value is None else decode(value)
+
+
+def _ints(cast):
+    return lambda value: cast(int(item) for item in value)
+
+
+def _byte(value: str) -> bytes:
+    return value.encode("latin-1")
+
+
+#: Decoders of the Dialect fields, which travel flattened into the
+#: options dict; encoding is generic (see ``_encode``).
+_DIALECT_DECODERS = {
+    "delimiter": _byte,
+    "record_delimiter": _byte,
+    "quote": _optional(_byte),
+    "doubled_quote": bool,
+    "escape": _optional(_byte),
+    "comment": _optional(_byte),
+    "strip_carriage_return": bool,
+}
+
+#: Decoders of the ParseOptions fields besides ``dialect``, ``dfa``
+#: (which cannot travel) and ``schema``.
+_OPTION_DECODERS = {
+    "chunk_size": int,
+    "kernel_stride": _optional(int),
+    "kernel_table_budget": int,
+    "minimize_dfa": bool,
+    "tagging_mode": TaggingMode,
+    "inline_terminator": int,
+    "column_count_policy": ColumnCountPolicy,
+    "strict": bool,
+    "skip_rows": _ints(frozenset),
+    "skip_records": _ints(frozenset),
+    "select_columns": _optional(_ints(tuple)),
+    "infer_types": bool,
+    "null_literals": lambda value: tuple(str(item) for item in value),
+    "block_threshold": int,
+    "device_threshold": int,
+    "plan": _optional(str),
+}
+
+_FIELD_KEYS = frozenset(f.name for f in dataclasses.fields(Field))
+
+
+def _encode(value):
+    """A JSON-ready form of one option value (bytes as latin-1 text)."""
+    if isinstance(value, bytes):
+        return value.decode("latin-1")
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _reject_unknown(spec: dict, known, what: str) -> None:
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ProtocolError(f"unknown {what} {unknown[0]!r}")
+
+
+def _field_to_wire(field: Field) -> dict:
+    if not isinstance(field.default, (type(None), bool, int, float, str)):
+        raise ServeError(
+            f"field {field.name!r} has a default of type "
+            f"{type(field.default).__name__}, which cannot travel by wire")
+    return {f.name: _encode(getattr(field, f.name))
+            for f in dataclasses.fields(Field)}
+
+
 def _schema_to_wire(schema: Schema | None):
     if schema is None:
         return None
-    return {"fields": [[f.name, f.dtype.value] for f in schema]}
+    return {"fields": [_field_to_wire(f) for f in schema]}
 
 
 def _schema_from_wire(spec) -> Schema | None:
@@ -146,67 +224,60 @@ def _schema_from_wire(spec) -> Schema | None:
         return None
     if "columns" in spec:
         return Schema.all_strings(int(spec["columns"]))
-    return Schema([Field(name=name, dtype=DataType(dtype))
-                   for name, dtype in spec["fields"]])
+    fields = []
+    for field in spec["fields"]:
+        _reject_unknown(field, _FIELD_KEYS, "schema field attribute")
+        fields.append(Field(**{**field, "dtype": DataType(field["dtype"])}))
+    return Schema(fields)
 
 
 def options_to_wire(options: ParseOptions) -> dict:
-    """Encode ``options`` as the JSON dict the protocol carries."""
+    """Encode ``options`` as the JSON dict the protocol carries.
+
+    Lossless: :func:`options_from_wire` rebuilds options equal to
+    ``options``.  Raises :class:`~repro.errors.ServeError` for what
+    cannot travel — a custom DFA, a non-JSON field default, or an
+    option this codec does not know.
+    """
     if options.dfa is not None:
         raise ServeError(
             "options backed by a custom DFA cannot travel by wire; "
             "use the in-process Client")
-    dialect = options.dialect
-    return {
-        "delimiter": dialect.delimiter.decode("latin-1"),
-        "quote": None if dialect.quote is None
-        else dialect.quote.decode("latin-1"),
-        "comment": None if dialect.comment is None
-        else dialect.comment.decode("latin-1"),
-        "strip_carriage_return": dialect.strip_carriage_return,
-        "chunk_size": options.chunk_size,
-        "kernel_stride": options.kernel_stride,
-        "kernel_table_budget": options.kernel_table_budget,
-        "minimize_dfa": options.minimize_dfa,
-        "tagging_mode": options.tagging_mode.value,
-        "partition_strategy": None if options.partition_strategy is None
-        else options.partition_strategy.value,
-        "column_count_policy": options.column_count_policy.value,
-        "infer_types": options.infer_types,
-        "schema": _schema_to_wire(options.schema),
-    }
+    spec = {name: _encode(getattr(options.dialect, name))
+            for name in _DIALECT_DECODERS}
+    for f in dataclasses.fields(ParseOptions):
+        if f.name in ("dialect", "dfa"):
+            continue
+        if f.name == "schema":
+            spec["schema"] = _schema_to_wire(options.schema)
+        elif f.name in _OPTION_DECODERS:
+            spec[f.name] = _encode(getattr(options, f.name))
+        else:
+            raise ServeError(f"option {f.name!r} has no wire encoding")
+    return spec
 
 
 def options_from_wire(spec: dict | None) -> ParseOptions | None:
-    """Decode a wire options dict (``None`` passes through)."""
+    """Decode a wire options dict (``None`` passes through).
+
+    Absent keys take the :class:`ParseOptions` / :class:`Dialect`
+    defaults; an unknown key raises :class:`~repro.errors.ProtocolError`
+    naming it, so an option the server does not understand is never
+    silently dropped.
+    """
     if spec is None:
         return None
+    _reject_unknown(spec, {*_DIALECT_DECODERS, *_OPTION_DECODERS, "schema"},
+                    "option")
     try:
-        dialect = Dialect(
-            delimiter=spec.get("delimiter", ",").encode("latin-1"),
-            quote=None if spec.get("quote", '"') is None
-            else spec.get("quote", '"').encode("latin-1"),
-            comment=None if spec.get("comment") is None
-            else spec["comment"].encode("latin-1"),
-            strip_carriage_return=bool(
-                spec.get("strip_carriage_return", True)),
-        )
-        strategy = spec.get("partition_strategy")
-        return ParseOptions(
-            dialect=dialect,
-            schema=_schema_from_wire(spec.get("schema")),
-            chunk_size=int(spec.get("chunk_size", 31)),
-            kernel_stride=None if spec.get("kernel_stride") is None
-            else int(spec["kernel_stride"]),
-            kernel_table_budget=int(
-                spec.get("kernel_table_budget", DEFAULT_TABLE_BUDGET)),
-            minimize_dfa=bool(spec.get("minimize_dfa", True)),
-            tagging_mode=TaggingMode(spec.get("tagging_mode", "tagged")),
-            partition_strategy=None if strategy is None
-            else PartitionStrategy(strategy),
-            column_count_policy=ColumnCountPolicy(
-                spec.get("column_count_policy", "lenient")),
-            infer_types=bool(spec.get("infer_types", False)),
-        )
+        dialect = Dialect(**{name: decode(spec[name])
+                             for name, decode in _DIALECT_DECODERS.items()
+                             if name in spec})
+        kwargs = {name: decode(spec[name])
+                  for name, decode in _OPTION_DECODERS.items()
+                  if name in spec}
+        return ParseOptions(dialect=dialect,
+                            schema=_schema_from_wire(spec.get("schema")),
+                            **kwargs)
     except (KeyError, ValueError, TypeError, AttributeError) as error:
         raise ProtocolError(f"malformed options: {error}") from None

@@ -1,13 +1,15 @@
-"""Fused-convert parity: zero-copy output is bit-identical to the copy path.
+"""Fused-convert parity: zero-copy output equals the sequential reference.
 
-The fused partition→convert path (ISSUE 6) must produce exactly the same
-``Table`` contents as the copying reference path (``fused_convert=False``)
-for every dialect, tagging mode, input and executor schedule.  String
+The convert stage emits string columns as zero-copy CSS slices and
+adopts fully populated fixed-width value vectors when the data allows
+(rows ascending, fields tiling the CSS), and copies otherwise — the
+inline/delimited modes, whose terminators sit between fields, and NULL
+literals, which punch holes.  Either way the ``Table`` must equal the
+independent :class:`~repro.baselines.sequential.SequentialParser`'s for
+every dialect, tagging mode, input and executor schedule.  String
 columns on the fused path must additionally be zero-copy slices of the
 partition's CSS buffer.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from repro import (
     SerialExecutor,
     ShardedExecutor,
 )
+from repro.baselines import SequentialParser
 from repro.columnar import DataType
 from repro.core.options import TaggingMode
 from repro.core.stages import ConvertStage, PipelineContext, RawInput
 from repro.dfa import dialect_dfa
+from repro.errors import ParseError
 from repro.utils.timing import StepTimer
 from tests.conftest import TRICKY_INPUTS, as_uint8
 from tests.kernels.test_parity import DIALECTS
@@ -35,9 +39,22 @@ def parse_table(data: bytes, options: ParseOptions, executor=None):
     return parser.parse(data).table
 
 
-def fused_and_legacy(options: ParseOptions):
-    return (dataclasses.replace(options, fused_convert=True),
-            dataclasses.replace(options, fused_convert=False))
+def assert_matches_sequential(data: bytes, options: ParseOptions,
+                              executor=None):
+    """The pipeline's table equals the sequential reference's.
+
+    Only the inline/delimited modes may refuse an input (ragged column
+    counts, a terminator byte in the data); the reference has no such
+    precondition.
+    """
+    expected = SequentialParser(options).parse(data)
+    try:
+        got = parse_table(data, options, executor)
+    except ParseError:
+        assert options.tagging_mode is not TaggingMode.TAGGED, data
+        return
+    assert got.to_pylist() == expected.to_pylist(), data
+    assert got == expected, data
 
 
 class TestFusedParity:
@@ -47,35 +64,15 @@ class TestFusedParity:
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_dialects_and_modes(self, dialect, mode):
         for data in TRICKY_INPUTS:
-            options = ParseOptions(dialect=dialect, tagging_mode=mode)
-            fused, legacy = fused_and_legacy(options)
-            try:
-                expected = parse_table(data, legacy)
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    parse_table(data, fused)
-                continue
-            got = parse_table(data, fused)
-            assert got.to_pylist() == expected.to_pylist(), data
-            assert got == expected, data
+            assert_matches_sequential(
+                data, ParseOptions(dialect=dialect, tagging_mode=mode))
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_sharded_matches_serial_legacy(self, mode):
-        executor = ShardedExecutor(workers=2, shard_bytes=64,
-                                   use_processes=False)
         options = ParseOptions(dialect=Dialect.csv(), tagging_mode=mode)
-        fused, legacy = fused_and_legacy(options)
         for data in TRICKY_INPUTS:
-            try:
-                expected = parse_table(data, legacy, SerialExecutor())
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    parse_table(data, fused, ShardedExecutor(
-                        workers=2, shard_bytes=64, use_processes=False))
-                continue
-            got = parse_table(data, fused, ShardedExecutor(
+            assert_matches_sequential(data, options, ShardedExecutor(
                 workers=2, shard_bytes=64, use_processes=False))
-            assert got.to_pylist() == expected.to_pylist(), data
 
     def test_null_literals_and_defaults_parity(self):
         data = (b"alpha,1,x\n"
@@ -84,10 +81,7 @@ class TestFusedParity:
                 b",4,NA\n")
         options = ParseOptions(dialect=Dialect.csv(),
                                null_literals=("NA",))
-        fused, legacy = fused_and_legacy(options)
-        expected = parse_table(data, legacy)
-        got = parse_table(data, fused)
-        assert got.to_pylist() == expected.to_pylist()
+        assert_matches_sequential(data, options)
 
 
 class TestZeroCopyStrings:
@@ -120,8 +114,11 @@ class TestZeroCopyStrings:
         assert converted.convert_stats.bytes_copied == 0
 
     def test_copy_path_does_not_share_css_memory(self):
+        """Delimited-mode fields have terminators between them in the
+        CSS, so their string columns are copied out."""
         data = b"alpha,bravo\ncharlie,delta\n"
-        options = ParseOptions(dialect=Dialect.csv(), fused_convert=False)
+        options = ParseOptions(dialect=Dialect.csv(),
+                               tagging_mode=TaggingMode.DELIMITED)
         payload, converted = self._converted(data, options)
         for column in converted.table.columns:
             assert not np.shares_memory(column.data, payload.css)

@@ -1,11 +1,13 @@
-"""Property test: scalar and vectorized conversion are interchangeable.
+"""Property test: vectorised conversion equals the scalar converters.
 
-``ParseOptions.vectorized_conversion`` selects between the scalar
-per-field converters and the vectorised column kernels; the two are
-different code paths over the same grammar, so for ANY input they must
-produce identical columns, validity masks and inferred types.  The
-strategy deliberately covers the awkward corners: empty fields, null
-literals, records with deviating column counts, Python-ism numerics
+The pipeline converts with the NumPy column kernels (falling back to the
+scalar converters for the literals they decline); the sequential
+reference parser converts every field with the independent scalar
+converters (:func:`~repro.core.scalar_convert.convert_scalar`).  Given
+the schema the pipeline inferred, the two must produce identical
+columns, validity masks and reject counts for ANY input.  The strategy
+deliberately covers the awkward corners: empty fields, null literals,
+records with deviating column counts, Python-ism numerics
 (``inf``/``1_000``) that both paths must reject in lockstep.
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import SequentialParser
 from repro.core.options import ColumnCountPolicy, ParseOptions
 from repro.core.parser import parse_bytes
 
@@ -43,19 +46,17 @@ def render_csv(rows: list[list[bytes]]) -> bytes:
 
 
 def parse_both(data: bytes, **kwargs):
-    results = []
-    for vectorized in (False, True):
-        options = ParseOptions(
-            null_literals=NULLS,
-            column_count_policy=ColumnCountPolicy.LENIENT,
-            vectorized_conversion=vectorized,
-            **kwargs)
-        results.append(parse_bytes(data, options))
-    return results
+    """(scalar reference table, pipeline table) for ``data``."""
+    options = ParseOptions(null_literals=NULLS,
+                           column_count_policy=ColumnCountPolicy.LENIENT,
+                           **kwargs)
+    vectorized = parse_bytes(data, options).table
+    scalar = SequentialParser(
+        options.with_(schema=vectorized.schema)).parse(data)
+    return scalar, vectorized
 
 
-def assert_tables_identical(scalar, vectorized):
-    ts, tv = scalar.table, vectorized.table
+def assert_tables_identical(ts, tv):
     assert [f.dtype for f in ts.schema] == [f.dtype for f in tv.schema]
     assert ts.num_rows == tv.num_rows
     for cs, cv in zip(ts.columns, tv.columns):
@@ -69,7 +70,6 @@ def assert_tables_identical(scalar, vectorized):
             mask = cs.validity.to_mask()
             np.testing.assert_array_equal(vs[mask], vv[mask])
         assert cs.rejects == cv.rejects
-    assert scalar.rejected_records == vectorized.rejected_records
 
 
 class TestScalarVectorizedParity:
@@ -90,15 +90,15 @@ class TestScalarVectorizedParity:
     def test_pythonisms_infer_string_on_both_paths(self):
         data = b"inf\n-Infinity\n1_000\n1_0e2\n"
         scalar, vectorized = parse_both(data, infer_types=True)
-        for result in (scalar, vectorized):
-            (field,) = result.table.schema
+        for table in (scalar, vectorized):
+            (field,) = table.schema
             assert field.dtype.value == "string"
         assert_tables_identical(scalar, vectorized)
 
     def test_nan_still_floats_on_both_paths(self):
         data = b"nan\n1.5\nNaN\n"
         scalar, vectorized = parse_both(data, infer_types=True)
-        for result in (scalar, vectorized):
-            (field,) = result.table.schema
+        for table in (scalar, vectorized):
+            (field,) = table.schema
             assert field.dtype.value == "float64"
         assert_tables_identical(scalar, vectorized)

@@ -57,11 +57,10 @@ class TestNullLiterals:
         assert result.table.row(0) == ("NA",)
 
     def test_scalar_path_agrees(self):
+        """The pipeline matches the scalar sequential reference."""
         data = b"1,NA\nnull,-\n2,z\n"
         vector = parse_bytes(data, OPTIONS).table.to_pylist()
-        scalar = parse_bytes(
-            data, OPTIONS.with_(vectorized_conversion=False)) \
-            .table.to_pylist()
+        scalar = SequentialParser(OPTIONS).parse(data).to_pylist()
         assert vector == scalar
 
     @given(st.lists(st.sampled_from(

@@ -12,10 +12,10 @@ from repro import (
     ParseError,
     ParseOptions,
     Schema,
-    TaggingImpl,
     TaggingMode,
     parse_bytes,
 )
+from tests.oracles import PartitionStrategy, TaggingImpl, serial_executor
 
 
 class TestBasics:
@@ -97,8 +97,10 @@ class TestChunkAndImplEquivalence:
     @pytest.mark.parametrize("impl", list(TaggingImpl))
     def test_tagging_impls_agree(self, paper_example, impl):
         baseline = parse_bytes(paper_example).table.to_pylist()
-        result = parse_bytes(paper_example, tagging_impl=impl,
-                             chunk_size=5)
+        partition = PartitionStrategy.RADIX \
+            if impl is TaggingImpl.CHUNKED else PartitionStrategy.FIELD_RUN
+        result = parse_bytes(paper_example, chunk_size=5,
+                             executor=serial_executor(impl, partition))
         assert result.table.to_pylist() == baseline
 
     @pytest.mark.parametrize("mode", list(TaggingMode))

@@ -5,16 +5,16 @@ import pytest
 
 from repro import ParPaRawParser, SerialExecutor, ShardedExecutor
 from repro.core.css import inline_index
-from repro.core.options import ParseOptions, TaggingImpl, TaggingMode
-from repro.core.partition import partition_by_column
+from repro.core.options import ParseOptions, TaggingMode
+from repro.core.partition import build_keep_mask, partition_by_column
 from repro.core.stages import PipelineContext, RawInput
-from repro.core.tagging_modes import build_keep_mask, column_indexes, \
-    prepare_css
+from repro.core.tagging_modes import column_indexes, prepare_css
 from repro.dfa import dialect_dfa
 from repro.errors import ParseError
 from repro.utils.timing import StepTimer
 from tests.conftest import TRICKY_INPUTS
 from tests.kernels.test_parity import DIALECTS
+from tests.oracles import serial_executor
 
 
 def make_partition(data: bytes, keep, columns, records, num_columns,
@@ -132,11 +132,11 @@ class TestModesAcrossDialects:
                              ids=lambda m: m.value)
     def test_global_field_path_matches_chunked_radix(self, dialect, mode):
         for data in TRICKY_INPUTS:
-            base = dict(dialect=dialect, tagging_mode=mode, chunk_size=8)
-            paper = ParseOptions(tagging_impl=TaggingImpl.CHUNKED, **base)
-            production = ParseOptions(**base)
+            production = ParseOptions(dialect=dialect, tagging_mode=mode,
+                                      chunk_size=8)
             try:
-                oracle = tag_and_partition(data, paper)
+                oracle = tag_and_partition(data, production,
+                                           serial_executor())
             except ParseError:
                 with pytest.raises(ParseError):
                     tag_and_partition(data, production)
@@ -151,6 +151,8 @@ class TestModesAcrossDialects:
                     for x, y in zip(got.part.column_fields(column),
                                     oracle.part.column_fields(column)):
                         np.testing.assert_array_equal(x, y)
-            expected = ParPaRawParser(paper).parse(data).table.to_pylist()
+            with serial_executor() as paper:
+                expected = ParPaRawParser(production, executor=paper) \
+                    .parse(data).table.to_pylist()
             assert ParPaRawParser(production).parse(data).table \
                 .to_pylist() == expected

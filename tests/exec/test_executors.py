@@ -20,7 +20,6 @@ from repro import (
     ParseOptions,
     Schema,
     StreamingParser,
-    TaggingImpl,
     TaggingMode,
 )
 from repro.baselines import stdlib_csv_rows
@@ -38,6 +37,7 @@ from repro.workloads import (
     skew_dataset,
 )
 from tests.conftest import TRICKY_INPUTS
+from tests.oracles import PartitionStrategy, TaggingImpl, serial_executor
 
 NO_CR = Dialect(strip_carriage_return=False)
 
@@ -62,8 +62,11 @@ def sharded(workers: int, shard_bytes: int | None) -> ShardedExecutor:
 
 
 def assert_results_match(data: bytes, options: ParseOptions,
-                         executor: ShardedExecutor):
-    serial = ParPaRawParser(options).parse(data)
+                         executor: ShardedExecutor,
+                         reference: SerialExecutor | None = None):
+    """``executor``'s result equals the serial ``reference`` schedule's
+    (default: the production serial pipeline)."""
+    serial = ParPaRawParser(options, executor=reference).parse(data)
     parallel = ParPaRawParser(options, executor=executor).parse(data)
     assert parallel.table.to_pylist() == serial.table.to_pylist()
     assert parallel.num_records == serial.num_records
@@ -105,11 +108,13 @@ class TestTrickyCorpus:
 
     @pytest.mark.parametrize("impl", list(TaggingImpl))
     def test_both_tagging_impls(self, impl):
+        """Sharded results equal a serial schedule under either tagger."""
         executor = sharded(3, 5)
+        reference = serial_executor(impl, PartitionStrategy.FIELD_RUN)
         for data in TRICKY_INPUTS:
             assert_results_match(
-                data, ParseOptions(dialect=NO_CR, chunk_size=4,
-                                   tagging_impl=impl), executor)
+                data, ParseOptions(dialect=NO_CR, chunk_size=4), executor,
+                reference)
 
 
 class TestOptionsZoo:
@@ -134,10 +139,8 @@ class TestOptionsZoo:
         ParseOptions(dialect=NO_CR, chunk_size=8,
                      schema=Schema.all_strings(3),
                      column_count_policy=ColumnCountPolicy.REJECT),
-        ParseOptions(dialect=NO_CR, chunk_size=8,
-                     vectorized_conversion=False, infer_types=True),
     ], ids=["inline", "delimited", "infer", "select", "skip-rows",
-            "skip-records", "nulls", "reject", "scalar-convert"])
+            "skip-records", "nulls", "reject"])
     def test_option_equivalence(self, options):
         for workers, shard_bytes in ((2, 5), (3, 17), (4, None)):
             assert_results_match(self.UNIFORM, options,

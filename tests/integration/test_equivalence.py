@@ -1,7 +1,7 @@
 """The library's central invariant: ParPaRaw ≡ sequential reference.
 
-For any input, any chunk size, any tagging implementation — the massively
-parallel pipeline must produce exactly the output of the sequential FSM
+For any input, any chunk size, either tagger (production or the paper's
+chunked formulation) — the massively parallel pipeline must produce exactly the output of the sequential FSM
 parser.  A third-party oracle (Python's ``csv`` module) cross-checks both
 on inputs where the semantics are comparable.
 """
@@ -19,19 +19,20 @@ from repro import (
     ParPaRawParser,
     ParseOptions,
     Schema,
-    TaggingImpl,
 )
 from repro.baselines import SequentialParser, stdlib_csv_rows
 from repro.workloads import CsvGenerator, generate_clf, generate_elf
 from repro.dfa.logformats import common_log_format_dfa, \
     extended_log_format_dfa
 from tests.conftest import TRICKY_INPUTS
+from tests.oracles import PartitionStrategy, TaggingImpl, serial_executor
 
 NO_CR = Dialect(strip_carriage_return=False)
 
 
-def assert_equivalent(data: bytes, options: ParseOptions):
-    parallel = ParPaRawParser(options).parse(data).table.to_pylist()
+def assert_equivalent(data: bytes, options: ParseOptions, executor=None):
+    parallel = ParPaRawParser(options, executor=executor).parse(data) \
+        .table.to_pylist()
     sequential = SequentialParser(options).parse(data).to_pylist()
     assert parallel == sequential, data
 
@@ -45,10 +46,14 @@ class TestTrickyCorpus:
 
     @pytest.mark.parametrize("impl", list(TaggingImpl))
     def test_both_impls(self, impl):
+        """The production path, and the paper's chunked tagger feeding
+        the radix partition, both equal the sequential parser."""
+        partition = PartitionStrategy.RADIX \
+            if impl is TaggingImpl.CHUNKED else PartitionStrategy.FIELD_RUN
         for data in TRICKY_INPUTS:
             assert_equivalent(data, ParseOptions(dialect=NO_CR,
-                                                 tagging_impl=impl,
-                                                 chunk_size=4))
+                                                 chunk_size=4),
+                              serial_executor(impl, partition))
 
     def test_reject_policy(self):
         for data in TRICKY_INPUTS:

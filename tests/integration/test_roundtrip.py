@@ -2,8 +2,8 @@
 
 The strongest end-to-end invariant available without external data: any
 table the columnar layer can represent, rendered by the writer, must parse
-back (with the matching schema) into an equal table — under every dialect,
-chunk size and tagging implementation.
+back (with the matching schema) into an equal table — under every dialect
+and chunk size.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro import (
     ParPaRawParser,
     ParseOptions,
     Schema,
-    TaggingImpl,
 )
 from repro.columnar.table import Column, Table
 from repro.workloads.writer import render_value, write_rows, write_table

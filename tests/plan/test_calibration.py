@@ -74,10 +74,8 @@ class TestStore:
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_config_key_buckets_chunks_by_power_of_two(self):
-        assert config_key("fp", 60, 4, "radix") \
-            == config_key("fp", 33, 4, "radix")
-        assert config_key("fp", 16, 4, "radix") \
-            != config_key("fp", 64, 4, "radix")
+        assert config_key("fp", 60, 4) == config_key("fp", 33, 4)
+        assert config_key("fp", 16, 4) != config_key("fp", 64, 4)
 
 
 class TestMonotoneConvergence:
@@ -118,10 +116,8 @@ class TestMonotoneConvergence:
             stride = resolve_stride(base.kernel_stride, base._sweep_dfa(),
                                     base.kernel_table_budget)
             modelled = planner._modelled(stats, len(data),
-                                         base.chunk_size, stride,
-                                         "field-run")
-            key = config_key(fingerprint, base.chunk_size, stride,
-                             "field-run")
+                                         base.chunk_size, stride)
+            key = config_key(fingerprint, base.chunk_size, stride)
             planner.store.observe(key, MEASURED_B, modelled)
             estimate = planner.estimate_cost(len(data), base,
                                              fingerprint=fingerprint)

@@ -14,10 +14,8 @@ import pytest
 from repro import (
     Dialect,
     ParseOptions,
-    PartitionStrategy,
     parse_bytes,
 )
-from repro.core.options import TaggingImpl, TaggingMode
 from repro.errors import ParseError
 from repro.gpusim.cost_model import PipelineCostModel, StepCosts, \
     WorkloadStats
@@ -106,7 +104,6 @@ class TestDecision:
         chosen = decision.chosen
         assert chosen.plan is None
         assert chosen.kernel_stride is not None
-        assert chosen.partition_strategy is not None
         # Non-knob options survive planning untouched.
         assert chosen.infer_types
         assert chosen.dialect == base.dialect
@@ -117,17 +114,14 @@ class TestDecision:
         assert {c.stride for c in decision.candidates} == {2}
         assert decision.chosen.kernel_stride == 2
 
-    def test_pinned_strategy_collapses_the_dimension(self):
-        decision = Planner().plan(
-            make_data(),
-            ParseOptions(partition_strategy=PartitionStrategy.RADIX))
-        assert {c.strategy for c in decision.candidates} == {"radix"}
-
-    def test_chunked_tagging_never_plans_field_run(self):
-        decision = Planner().plan(
-            make_data(), ParseOptions(tagging_impl=TaggingImpl.CHUNKED))
-        assert all(c.strategy == "radix" for c in decision.candidates)
-        assert any("field-run not considered" in n for n in decision.notes)
+    def test_grid_is_chunk_by_stride(self):
+        """One candidate per (chunk size, stride): no partition axis."""
+        decision = Planner().plan(make_data())
+        cells = [(c.chunk_size, c.stride) for c in decision.candidates]
+        assert len(cells) == len(set(cells))
+        chunks = {c.chunk_size for c in decision.candidates}
+        strides = {c.stride for c in decision.candidates}
+        assert len(cells) == len(chunks) * len(strides)
 
     def test_suggested_chunk_size_is_a_candidate(self):
         planner = Planner()
@@ -193,7 +187,7 @@ class TestAutoParse:
                      if c.feasible and not c.chosen)
         # Plant overwhelming evidence that one loser is much faster.
         key = config_key(first.fingerprint, loser.chunk_size,
-                         loser.stride, loser.strategy)
+                         loser.stride)
         planner.store.observe(
             key, {s: 1e-9 for s in ("parse", "scan", "tag", "partition",
                                     "convert")},
@@ -280,15 +274,6 @@ class TestOptionsValidation:
         message = str(err.value)
         assert "raise kernel_table_budget to at least" in message
         assert "kernel_stride=None" in message
-
-    def test_field_run_with_chunked_tagging_rejected(self):
-        with pytest.raises(ParseError, match="field-run"):
-            ParseOptions(partition_strategy=PartitionStrategy.FIELD_RUN,
-                         tagging_impl=TaggingImpl.CHUNKED)
-
-    def test_auto_strategy_with_chunked_tagging_accepted(self):
-        options = ParseOptions(tagging_impl=TaggingImpl.CHUNKED)
-        assert options.partition_strategy is None
 
     def test_plan_value_validated(self):
         with pytest.raises(ParseError, match="plan"):

@@ -1,11 +1,12 @@
 """The serve wire format: framing limits and the options codec."""
 
+import dataclasses
 import io
 
 import pytest
 
-from repro.core.options import ColumnCountPolicy, ParseOptions, \
-    PartitionStrategy, TaggingMode
+from repro.core.options import ColumnCountPolicy, ParseOptions, TaggingMode
+from repro.core.parser import ParPaRawParser
 from repro.columnar.schema import DataType, Field, Schema
 from repro.dfa import Dialect, rfc4180_dfa
 from repro.errors import ProtocolError, ServeError
@@ -111,7 +112,6 @@ class TestOptionsCodec:
             chunk_size=17,
             kernel_stride=2,
             tagging_mode=TaggingMode.DELIMITED,
-            partition_strategy=PartitionStrategy.FIELD_RUN,
             column_count_policy=ColumnCountPolicy.STRICT,
             infer_types=True,
             schema=Schema([Field(name="id", dtype=DataType.INT64),
@@ -122,7 +122,6 @@ class TestOptionsCodec:
         assert decoded.chunk_size == 17
         assert decoded.kernel_stride == 2
         assert decoded.tagging_mode == TaggingMode.DELIMITED
-        assert decoded.partition_strategy == PartitionStrategy.FIELD_RUN
         assert decoded.column_count_policy == ColumnCountPolicy.STRICT
         assert decoded.infer_types is True
         assert [(f.name, f.dtype) for f in decoded.schema] == \
@@ -142,3 +141,105 @@ class TestOptionsCodec:
             options_from_wire({"tagging_mode": "no-such-mode"})
         with pytest.raises(ProtocolError, match="malformed options"):
             options_from_wire({"delimiter": 5})
+
+
+#: A non-default value for every attribute that travels by wire.  A new
+#: ParseOptions, Dialect or Field attribute without an entry here fails
+#: the round-trip tests below, so no option is added that cannot travel.
+OPTION_SAMPLES = {
+    "dialect": Dialect(delimiter=b";", record_delimiter=b"\r", quote=b"'",
+                       doubled_quote=False, escape=b"\\", comment=b"#",
+                       strip_carriage_return=False),
+    "schema": Schema([Field("id", DataType.INT64, nullable=False,
+                            default=-1),
+                      Field("price", DataType.DECIMAL, default=0.5,
+                            decimal_scale=4),
+                      Field("name", DataType.STRING, default="?")]),
+    "chunk_size": 17,
+    "kernel_stride": 2,
+    "kernel_table_budget": 1 << 23,
+    "minimize_dfa": False,
+    "tagging_mode": TaggingMode.INLINE,
+    "inline_terminator": 0x1F,
+    "column_count_policy": ColumnCountPolicy.REJECT,
+    "strict": True,
+    "skip_rows": frozenset({0, 3}),
+    "skip_records": frozenset({2}),
+    "select_columns": (2, 0),
+    "infer_types": True,
+    "null_literals": ("NA", "null"),
+    "block_threshold": 64,
+    "device_threshold": 4096,
+    "plan": "auto",
+}
+
+DIALECT_SAMPLES = {f.name: getattr(OPTION_SAMPLES["dialect"], f.name)
+                   for f in dataclasses.fields(Dialect)}
+
+FIELD_SAMPLES = {f.name: getattr(OPTION_SAMPLES["schema"][0], f.name)
+                 for f in dataclasses.fields(Field)}
+
+
+def wire_roundtrip(options: ParseOptions) -> ParseOptions:
+    return options_from_wire(options_to_wire(options))
+
+
+class TestLosslessCodec:
+    def test_every_option_has_a_sample(self):
+        names = {f.name for f in dataclasses.fields(ParseOptions)}
+        assert names - {"dfa"} == set(OPTION_SAMPLES)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ParseOptions)
+                 if f.name != "dfa"])
+    def test_each_option_survives(self, name):
+        options = ParseOptions(**{name: OPTION_SAMPLES[name]})
+        assert getattr(options, name) != \
+            getattr(ParseOptions(), name), "sample must not be the default"
+        decoded = wire_roundtrip(options)
+        assert getattr(decoded, name) == getattr(options, name)
+        assert decoded == options
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Dialect)])
+    def test_each_dialect_field_survives(self, name):
+        dialect = Dialect(**{name: DIALECT_SAMPLES[name]})
+        assert getattr(dialect, name) != getattr(Dialect(), name)
+        decoded = wire_roundtrip(ParseOptions(dialect=dialect))
+        assert decoded.dialect == dialect
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Field)])
+    def test_each_schema_field_attribute_survives(self, name):
+        field = Field(**{"name": "v", "dtype": DataType.DECIMAL,
+                         name: FIELD_SAMPLES[name]})
+        decoded = wire_roundtrip(ParseOptions(schema=Schema([field])))
+        assert decoded.schema[0] == field
+
+    def test_all_options_at_once(self):
+        options = ParseOptions(**OPTION_SAMPLES)
+        assert wire_roundtrip(options) == options
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ProtocolError, match="partition_strategy"):
+            options_from_wire({"partition_strategy": "radix"})
+        with pytest.raises(ProtocolError, match="nullible"):
+            options_from_wire({"schema": {"fields": [
+                {"name": "a", "dtype": "string", "nullible": False}]}})
+
+    def test_unencodable_default_refused(self):
+        options = ParseOptions(schema=Schema(
+            [Field("a", DataType.STRING, default=b"bytes")]))
+        with pytest.raises(ServeError, match="default"):
+            options_to_wire(options)
+
+    def test_decoded_options_parse_like_the_originals(self):
+        """Selection, row pruning and NULL literals all travel: the
+        decoded options return the rows the originals do."""
+        data = b"a,b\nNA,x\n1,2\n"
+        options = ParseOptions(select_columns=(1,), skip_rows={0},
+                               null_literals=("NA",))
+        local = ParPaRawParser(options).parse(data).table
+        remote = ParPaRawParser(wire_roundtrip(options)).parse(data).table
+        assert local.num_rows == 2
+        assert remote.to_pylist() == local.to_pylist()

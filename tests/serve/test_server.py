@@ -61,6 +61,15 @@ class TestOps:
         remote = client.parse(data, options=options)
         assert remote.to_pylist() == direct.to_pylist()
 
+    def test_selection_pruning_and_nulls_travel(self, client):
+        data = b"a,b\nNA,x\n1,2\n"
+        options = ParseOptions(select_columns=(1,), skip_rows={0},
+                               null_literals=("NA",))
+        direct = ParPaRawParser(options).parse(data).table
+        remote = client.parse(data, options=options)
+        assert direct.num_rows == 2
+        assert remote.to_pylist() == direct.to_pylist()
+
     def test_status_op(self, client):
         client.parse(DATA)
         status = client.status()
