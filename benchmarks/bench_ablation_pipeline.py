@@ -7,7 +7,8 @@
   sequential reference parser converts with) on the same partition;
 * radix-sort digit width;
 * scan algorithm choice (sequential / Hillis-Steele / Blelloch /
-  decoupled look-back / vectorised).
+  decoupled look-back), and the vectorised STV scan: the production
+  reduce-then-scan against the Hillis–Steele oracle.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.scan.numpy_scan import scan_transition_vectors
 from repro.scan.operators import SumMonoid, TransitionComposeMonoid
 from repro.scan.sequential import exclusive_scan
 from repro.utils.timing import StepTimer
+from tests.oracles import hillis_steele_transition_scan
 
 
 def run_until(options: ParseOptions, data: bytes, until: str):
@@ -112,12 +114,18 @@ def test_scan_algorithms(benchmark, algorithm, func):
     assert out[:3] == [0, 0, 1]
 
 
-def test_stv_scan_vectorised(benchmark):
-    """The production composition scan over 100k chunk STVs."""
-    rng = np.random.default_rng(1)
-    vectors = rng.integers(0, 6, size=(100_000, 6)).astype(np.uint8)
-    out = benchmark(scan_transition_vectors, vectors)
-    assert out.shape == vectors.shape
+STV_INPUT = np.random.default_rng(1).integers(
+    0, 6, size=(100_000, 6)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("scan", [scan_transition_vectors,
+                                  hillis_steele_transition_scan],
+                         ids=["reduce-then-scan", "hillis-steele-oracle"])
+def test_stv_scan_vectorised(benchmark, scan):
+    """The production blocked reduce-then-scan and the Hillis–Steele
+    oracle it replaced, on the same 100k chunk STVs: equal outputs."""
+    out = benchmark(scan, STV_INPUT)
+    assert np.array_equal(out, hillis_steele_transition_scan(STV_INPUT))
 
 
 def test_stv_scan_scalar_reference(benchmark):

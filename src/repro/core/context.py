@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dfa.automaton import Dfa
-from repro.scan.numpy_scan import scan_transition_vectors
+from repro.scan.numpy_scan import scan_start_states
 
 __all__ = [
     "compute_transition_vectors",
@@ -55,10 +55,12 @@ def chunk_start_states(vectors: np.ndarray, dfa: Dfa) -> np.ndarray:
 
     Returns ``(num_chunks,)`` uint8; entry ``c`` is the DFA state entering
     chunk ``c`` when the sequential automaton starts the whole input in
-    ``dfa.start_state``.
+    ``dfa.start_state``.  Only that one column of the exclusive scan is
+    needed, so the scan's sweeps carry a single state per block
+    (:func:`~repro.scan.numpy_scan.scan_start_states`).
     """
-    scanned = scan_transition_vectors(vectors, exclusive=True)
-    return scanned[:, dfa.start_state].astype(np.uint8)
+    return scan_start_states(vectors, dfa.start_state).astype(np.uint8,
+                                                              copy=False)
 
 
 def determine_contexts(groups: np.ndarray,

@@ -94,8 +94,8 @@ def validate_utf8(data: bytes | np.ndarray,
                   chunk_size: int = 31) -> bool:
     """Validate UTF-8 well-formedness, data-parallel.
 
-    Runs ParPaRaw phase 1 — per-chunk state-transition vectors + the
-    composition scan — over the validation automaton, exactly like the
+    Runs ParPaRaw phase 1 — per-chunk state-transition vectors composed
+    by the scan's block folds — over the validation automaton, like the
     parsing pipeline; truncated inputs (ending mid code point) and any
     malformed byte are rejected.
 
@@ -111,13 +111,13 @@ def validate_utf8(data: bytes | np.ndarray,
     # machinery; module-level imports would create a dfa<->core cycle.
     from repro.core.chunking import chunk_groups  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
     from repro.core.context import compute_transition_vectors  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
-    from repro.scan.numpy_scan import scan_transition_vectors  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
+    from repro.scan.numpy_scan import reduce_transition_vectors  # parlint: disable=PPR503 -- demo of pipeline reuse, lazy to avoid cycle
 
     dfa = utf8_validation_dfa()
     buf = np.frombuffer(bytes(data), dtype=np.uint8) \
         if not isinstance(data, np.ndarray) else data
     groups, chunking, padded = chunk_groups(buf, dfa, chunk_size)
     vectors = compute_transition_vectors(groups, padded)
-    final = scan_transition_vectors(vectors, exclusive=False)
-    end_state = int(final[-1, dfa.start_state])
+    # Only the composite of all chunks matters: the scan's fold alone.
+    end_state = int(reduce_transition_vectors(vectors)[dfa.start_state])
     return dfa.is_accepting(end_state)

@@ -82,7 +82,8 @@ from repro.kernels import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import Tracer, snapshot_spans
-from repro.scan.numpy_scan import scan_transition_vectors
+from repro.scan.numpy_scan import compose_vectors, scan_depth, \
+    scan_transition_vectors
 
 __all__ = ["ShardedExecutor"]
 
@@ -200,13 +201,10 @@ def _shard_contexts(shard, dfa: Dfa, chunk_size: int, stride: int = 1,
                 vectors = compute_transition_vectors_plan(groups, plan)
             else:
                 vectors = compute_transition_vectors(groups, padded_dfa)
-            inclusive = scan_transition_vectors(vectors, exclusive=False)
-            local_scan = np.empty_like(inclusive)
-            local_scan[0] = np.arange(inclusive.shape[1],
-                                      dtype=inclusive.dtype)
-            local_scan[1:] = inclusive[:-1]
+            local_scan = scan_transition_vectors(vectors, exclusive=True)
+            composite = compose_vectors(local_scan[-1], vectors[-1])
         obs = _pack_obs(tracer, metrics, "contexts", start, int(raw.size))
-        return local_scan, inclusive[-1], obs
+        return local_scan, composite, obs
     finally:
         _close_shard(handle)
 
@@ -422,6 +420,12 @@ class ShardedExecutor(Executor):
             if metrics.enabled:
                 metrics.observe("stage.scan.seconds",
                                 time.perf_counter() - phase_start)
+                # The shards are one more level of blocks over the chunk
+                # vectors: the deepest shard-local scan plus the combine.
+                metrics.gauge("scan.depth",
+                              max(scan_depth(len(local_scan))
+                                  for local_scan, _, _ in contexts)
+                              + scan_depth(len(contexts)))
             phase_start = time.perf_counter()
             with tracer.span("sharded:tags", shards=len(bounds)):
                 with ctx.timer.step("tag"):

@@ -18,7 +18,8 @@ This subpackage provides:
   builds on;
 * a segmented scan (:mod:`repro.scan.segmented`);
 * vectorised NumPy scans over arrays of state-transition vectors and offset
-  pairs (:mod:`repro.scan.numpy_scan`) used by the production pipeline.
+  pairs (:mod:`repro.scan.numpy_scan`); the production pipeline's chunk
+  contexts come from its blocked reduce-then-scan.
 """
 
 from repro.scan.operators import (

@@ -16,6 +16,7 @@ from repro.core.context import (
 )
 from repro.dfa.csv import dialect_dfa
 from repro.dfa.dialects import Dialect
+from tests.oracles import hillis_steele_transition_scan
 
 csv_like = st.text(
     alphabet=st.sampled_from(list('abc",\n#')), max_size=120
@@ -90,3 +91,20 @@ class TestStartStates:
         expected = sequential_states_at_chunk_starts(csv_dfa,
                                                      data.tobytes(), chunk)
         assert starts.tolist()[:len(expected)] == expected
+
+    @given(st.one_of(st.integers(0, 300), st.integers(4000, 9000)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_oracle_scan_column(self, num_chunks, seed):
+        """Any STVs, past one block and past two levels of blocks: the
+        start states are the Hillis–Steele scan's ``start_state``
+        column."""
+        dfa = dialect_dfa(Dialect(strip_carriage_return=False))
+        rng = np.random.default_rng(seed)
+        vectors = rng.integers(0, dfa.num_states,
+                               size=(num_chunks, dfa.num_states),
+                               dtype=np.uint8)
+        starts = chunk_start_states(vectors, dfa)
+        expected = hillis_steele_transition_scan(vectors)[:, dfa.start_state]
+        assert starts.dtype == np.uint8
+        assert np.array_equal(starts, expected)

@@ -52,6 +52,7 @@ SHARD_SHAPES = [
     (2, 8),       # == chunk_size used by the matrix tests
     (4, 21),      # larger than a chunk, not a multiple of it
     (2, 1 << 14),  # one shard swallows everything
+    (2, 520),     # 65 chunks of 8 B: shard scans wider than one block
 ]
 
 

@@ -13,6 +13,7 @@ from repro.obs import (
     chrome_trace,
     validate_chrome_trace,
 )
+from repro.scan.numpy_scan import scan_depth
 
 DATA = b"id,price,name\n1,2.5,ant\n2,99.125,bee\n3,0.25,cow\n" * 40
 
@@ -75,6 +76,22 @@ class TestSerialObservability:
             workers=2, shard_bytes=500, use_processes=False))
         assert metrics.gauges["stage.tag.bytes"] >= len(DATA)
         assert "stage.partition.bytes" in metrics.gauges
+
+    def test_scan_depth_gauge(self):
+        """``scan.depth`` counts the levels of the reduce-then-scan over
+        the chunk STVs; the sharded executor reports the same gauge, its
+        shards being one more level of blocks."""
+        _, _, serial = parse_with_obs()
+        num_chunks = -(-len(DATA) // ParseOptions().chunk_size)
+        assert serial.gauges["scan.depth"] == scan_depth(num_chunks) == 2
+        _, _, whole = parse_with_obs(ShardedExecutor(
+            workers=1, use_processes=False))
+        assert whole.gauges["scan.depth"] == serial.gauges["scan.depth"]
+        # Four 500-byte shards of 17 chunks: two levels in each shard,
+        # one for the combine over the shard composites.
+        _, _, sharded = parse_with_obs(ShardedExecutor(
+            workers=2, shard_bytes=500, use_processes=False))
+        assert sharded.gauges["scan.depth"] == 3
 
     def test_disabled_by_default(self):
         parser = ParPaRawParser(ParseOptions())

@@ -12,6 +12,11 @@ subclasses through the executor's pipeline seam
   per-symbol tags (:func:`~repro.core.partition.partition_symbols`)
   instead of :func:`~repro.core.partition.partition_fields`.
 
+:func:`hillis_steele_transition_scan` is the vectorised Hillis–Steele
+doubling scan of chunk state-transition vectors that the blocked
+:func:`~repro.scan.numpy_scan.scan_transition_vectors` replaced; the
+scan suites hold the two bit-identical.
+
 :class:`TaggingImpl` and :class:`PartitionStrategy` name the
 implementations a parametrised parity test runs.  The sharded executor
 tags in its workers, so on it only the partition substitution applies.
@@ -20,6 +25,8 @@ tags in its workers, so on it only the partition substitution applies.
 from __future__ import annotations
 
 from enum import Enum
+
+import numpy as np
 
 from repro.core.partition import partition_symbols
 from repro.core.stages import (
@@ -33,7 +40,7 @@ from repro.exec import SerialExecutor, ShardedExecutor
 
 __all__ = ["TaggingImpl", "PartitionStrategy", "ChunkedTagStage",
            "RadixPartitionStage", "oracle_pipeline", "serial_executor",
-           "sharded_executor"]
+           "sharded_executor", "hillis_steele_transition_scan"]
 
 
 class TaggingImpl(Enum):
@@ -94,3 +101,34 @@ def sharded_executor(partition: PartitionStrategy = PartitionStrategy.RADIX,
     ``kwargs`` go to :class:`ShardedExecutor`."""
     return ShardedExecutor(pipeline=oracle_pipeline(partition=partition),
                            **kwargs)
+
+
+def hillis_steele_transition_scan(vectors: np.ndarray,
+                                  exclusive: bool = True) -> np.ndarray:
+    """Scan ``(n, S)`` state-transition vectors by Hillis–Steele doubling.
+
+    ⌈log₂ n⌉ vectorised rounds over all ``n`` vectors: in round ``d``
+    every row ``i >= 2^d`` composes row ``i - 2^d`` before itself.  Same
+    contract as :func:`~repro.scan.numpy_scan.scan_transition_vectors`
+    (``O(n log n·S)`` work instead of ``O(n·S)``).
+    """
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2:
+        raise ValueError("expected an (n_chunks, num_states) array")
+    n, num_states = vectors.shape
+    if n == 0:
+        return vectors.copy()
+    scanned = vectors.copy()
+    offset = 1
+    while offset < n:
+        combined = np.take_along_axis(scanned[offset:], scanned[:-offset],
+                                      axis=-1)
+        scanned = scanned.copy()
+        scanned[offset:] = combined
+        offset *= 2
+    if not exclusive:
+        return scanned
+    out = np.empty_like(scanned)
+    out[0] = np.arange(num_states, dtype=scanned.dtype)
+    out[1:] = scanned[:-1]
+    return out

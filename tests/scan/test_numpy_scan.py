@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.scan.numpy_scan import (
+    MAX_BLOCK_WIDTH,
+    MIN_BLOCK_WIDTH,
+    block_width,
     compose_vectors,
     exclusive_sum,
     inclusive_sum,
+    reduce_transition_vectors,
     scan_column_offsets,
+    scan_depth,
+    scan_start_states,
     scan_transition_vectors,
 )
 from repro.scan.operators import (
@@ -19,8 +25,7 @@ from repro.scan.operators import (
     TransitionComposeMonoid,
 )
 from repro.scan.sequential import exclusive_scan, inclusive_scan
-
-NUM_STATES = 6
+from tests.oracles import hillis_steele_transition_scan
 
 
 class TestSums:
@@ -61,27 +66,67 @@ class TestComposeVectors:
         assert out.tolist() == [[1, 1], [0, 0]]
 
 
-vector_arrays = hnp.arrays(
-    np.uint8, st.tuples(st.integers(0, 40), st.just(NUM_STATES)),
-    elements=st.integers(0, NUM_STATES - 1))
+#: Row counts that cross every shape the blocked scan takes: a single
+#: block (n ≤ MIN_BLOCK_WIDTH), several blocks with a padded tail, and
+#: n > MAX_BLOCK_WIDTH² (three levels of block composites).
+ROW_COUNTS = st.one_of(
+    st.integers(0, 40),
+    st.integers(41, 600),
+    st.integers(MAX_BLOCK_WIDTH ** 2 + 1, MAX_BLOCK_WIDTH ** 2 + 900),
+)
+
+
+@st.composite
+def vector_arrays(draw, rows=ROW_COUNTS):
+    """Random ``(n, S)`` uint8 STVs, ``S`` from 1 to 8."""
+    n = draw(rows)
+    num_states = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.integers(0, num_states, size=(n, num_states),
+                        dtype=np.uint8)
+
+
+def as_rows(array: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in array.tolist()]
+
+
+def assert_scan_matches(vectors: np.ndarray, exclusive: bool) -> None:
+    """The scan equals the scalar reference and the Hillis–Steele
+    oracle, bit for bit."""
+    monoid = TransitionComposeMonoid(vectors.shape[1])
+    scalar = exclusive_scan if exclusive else inclusive_scan
+    out = scan_transition_vectors(vectors, exclusive=exclusive)
+    assert out.dtype == vectors.dtype
+    assert as_rows(out) == scalar(as_rows(vectors), monoid)
+    assert np.array_equal(out,
+                          hillis_steele_transition_scan(vectors, exclusive))
 
 
 class TestScanTransitionVectors:
-    @given(vector_arrays)
+    @given(vector_arrays())
+    @settings(max_examples=60, deadline=None)
     def test_matches_scalar_exclusive(self, vectors):
-        m = TransitionComposeMonoid(NUM_STATES)
-        rows = [tuple(int(x) for x in row) for row in vectors]
-        expected = exclusive_scan(rows, m)
-        out = scan_transition_vectors(vectors, exclusive=True)
-        assert [tuple(r) for r in out.tolist()] == expected
+        assert_scan_matches(vectors, exclusive=True)
 
-    @given(vector_arrays)
+    @given(vector_arrays())
+    @settings(max_examples=60, deadline=None)
     def test_matches_scalar_inclusive(self, vectors):
-        m = TransitionComposeMonoid(NUM_STATES)
-        rows = [tuple(int(x) for x in row) for row in vectors]
-        expected = inclusive_scan(rows, m)
-        out = scan_transition_vectors(vectors, exclusive=False)
-        assert [tuple(r) for r in out.tolist()] == expected
+        assert_scan_matches(vectors, exclusive=False)
+
+    @given(vector_arrays(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_start_states_are_an_oracle_column(self, vectors, data):
+        start = data.draw(st.integers(0, vectors.shape[1] - 1))
+        expected = hillis_steele_transition_scan(vectors)[:, start]
+        assert np.array_equal(scan_start_states(vectors, start), expected)
+
+    @given(vector_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_is_the_last_inclusive_row(self, vectors):
+        num_states = vectors.shape[1]
+        expected = hillis_steele_transition_scan(vectors, exclusive=False)
+        expected = expected[-1] if len(vectors) else np.arange(num_states)
+        assert np.array_equal(reduce_transition_vectors(vectors), expected)
 
     def test_first_row_is_identity(self):
         vectors = np.array([[3, 2, 1, 0, 4, 5]] * 4, dtype=np.uint8)
@@ -89,8 +134,33 @@ class TestScanTransitionVectors:
         assert out[0].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            scan_transition_vectors(np.zeros(5, dtype=np.uint8))
+        for scan in (scan_transition_vectors, reduce_transition_vectors,
+                     lambda vectors: scan_start_states(vectors, 0)):
+            with pytest.raises(ValueError):
+                scan(np.zeros(5, dtype=np.uint8))
+
+
+class TestBlockHierarchy:
+    @given(st.integers(1, 10 ** 7))
+    def test_width_bounds(self, n):
+        width = block_width(n)
+        assert 1 <= width <= min(n, MAX_BLOCK_WIDTH)
+        assert width == n or width >= MIN_BLOCK_WIDTH
+
+    @given(st.integers(2, 10 ** 7))
+    def test_depth_counts_levels(self, n):
+        levels = [n]
+        while levels[-1] > 1:
+            levels.append(-(-levels[-1] // block_width(levels[-1])))
+        assert scan_depth(n) == len(levels) - 1
+        # Work-efficient: every level after the first is at most half
+        # as large, so the hierarchy has at most log2(n) + 1 levels.
+        assert all(2 * b <= a + 1 for a, b in zip(levels, levels[1:]))
+
+    def test_small_input_depth(self):
+        # An 8 KiB request at 31 B chunks: two levels, not log2 steps.
+        assert scan_depth(265) == 2
+        assert scan_depth(1) == scan_depth(0) == 0
 
 
 class TestScanColumnOffsets:
